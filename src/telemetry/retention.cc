@@ -22,20 +22,14 @@ RollupTier::record(TimeS t, double v)
 {
     const TimeS bstart = alignDown(t, width_s_);
     if (buckets_.empty() || buckets_.back().start_s != bstart) {
-        if (!buckets_.empty()) {
-            // Close the open bucket: its step integral is missing the
-            // tail from its last sample to its end boundary.
-            RollupBucket &open = buckets_.back();
-            open.integral_vs +=
-                carry_ * static_cast<double>(open.start_s + width_s_ -
-                                             frontier_);
-        }
+        closeOpenBucket();
         // Open the new bucket; the span from its start boundary to
         // this sample integrates the carried-in step value (0 before
         // the first sample ever, matching the raw-series convention).
         buckets_.push_back(RollupBucket{
             bstart, v, v, v, v,
             carry_ * static_cast<double>(t - bstart), 1});
+        open_ = true;
     } else {
         RollupBucket &b = buckets_.back();
         b.integral_vs += carry_ * static_cast<double>(t - frontier_);
@@ -52,10 +46,25 @@ RollupTier::record(TimeS t, double v)
 }
 
 void
+RollupTier::closeOpenBucket()
+{
+    if (!open_)
+        return;
+    // The step integral is missing the tail from the bucket's last
+    // sample to its end boundary.
+    RollupBucket &open = buckets_.back();
+    open.integral_vs +=
+        carry_ * static_cast<double>(open.start_s + width_s_ - frontier_);
+    open_ = false;
+}
+
+void
 RollupTier::dropBefore(TimeS cut)
 {
     while (!buckets_.empty() && buckets_.front().start_s < cut)
         buckets_.pop_front();
+    if (buckets_.empty())
+        open_ = false;
 }
 
 double

@@ -124,14 +124,14 @@ struct RollupBucket
 
 /**
  * One downsampling tier (minute or hour buckets), maintained
- * incrementally: record() folds each appended sample into the open
- * (newest) bucket, closing it — finalizing its step integral — when a
- * sample lands in a later bucket. Sample-free buckets are never
- * materialized; the query side integrates gaps from the previous
- * bucket's `last`. Query methods assume the queried range lies
- * entirely behind the open bucket (the TimeSeries query split
- * guarantees this: rollups only answer ranges older than the exact
- * cold+hot coverage).
+ * incrementally: record() folds each sample into the open (newest)
+ * bucket, closing it — finalizing its step integral — when a sample
+ * lands in a later bucket or on closeOpenBucket(). Sample-free
+ * buckets are never materialized; the query side integrates gaps
+ * from the previous bucket's `last`. Query methods assume the queried
+ * range lies entirely behind the open bucket (the TimeSeries query
+ * split guarantees this: rollups only answer ranges older than the
+ * exact cold+hot coverage).
  */
 class RollupTier
 {
@@ -151,6 +151,14 @@ class RollupTier
 
     /** Fold one appended sample in (timestamps non-decreasing). */
     void record(TimeS t, double v);
+
+    /**
+     * Close the open bucket now, adding the tail of its step integral
+     * up to its end boundary. The caller promises the next recorded
+     * sample lands in a later bucket (the tail is then exactly what
+     * that sample would have added). No-op when nothing is open.
+     */
+    void closeOpenBucket();
 
     /** Drop buckets starting before `cut`. */
     void dropBefore(TimeS cut);
@@ -196,6 +204,8 @@ class RollupTier
     TimeS frontier_ = 0;
     /** Value of the last recorded sample (step carry). */
     double carry_ = 0.0;
+    /** The newest bucket still lacks its closing tail. */
+    bool open_ = false;
 };
 
 } // namespace ecov::ts

@@ -50,7 +50,8 @@ TimeSeries::append(TimeS time_s, double value)
     ++total_appends_;
     if (!bounded_)
         return;
-    minute_.record(time_s, value);
+    // The minute tier is folded at seal time (sealPrefix); the hour
+    // tier stays per-append because its buckets straddle seal cuts.
     hour_.record(time_s, value);
     maybeSeal();
 }
@@ -58,23 +59,31 @@ TimeSeries::append(TimeS time_s, double value)
 void
 TimeSeries::maybeSeal()
 {
-    // First index the retention bound wants to keep (the tighter of
-    // the count and window bounds). A pure function of the appended
-    // data and the config — no wall clock, no allocator state — so
-    // eviction is deterministic and thread-count independent.
+    // Amortize: seal only once the first index the bound wants to
+    // keep (keep_from below) reaches seal_batch. Decided in O(1): the
+    // count bound keeps from n - max_samples, and since times are
+    // monotone, lowerBound(newest - window_s) >= seal_batch iff
+    // sample seal_batch-1 is older than the window.
     const std::size_t n = samples_.size();
+    const std::size_t batch = retention_.seal_batch;
+    const TimeS newest = samples_.back().time_s;
+    const bool count_due = retention_.max_samples > 0 &&
+                           n >= retention_.max_samples + batch;
+    const bool window_due =
+        retention_.window_s > 0 && n >= batch &&
+        samples_[batch - 1].time_s < newest - retention_.window_s;
+    if (!count_due && !window_due)
+        return;
+    // keep_from: the tighter of the two bounds. A pure function of
+    // the appended data and the config — no wall clock, no allocator
+    // state — so eviction is deterministic and thread-count
+    // independent.
     std::size_t keep_from = 0;
     if (retention_.max_samples > 0 && n > retention_.max_samples)
         keep_from = n - retention_.max_samples;
-    if (retention_.window_s > 0) {
-        const std::size_t wfrom =
-            lowerBound(samples_.back().time_s - retention_.window_s);
-        if (wfrom > keep_from)
-            keep_from = wfrom;
-    }
-    // Amortize: only seal once a whole batch has aged out.
-    if (keep_from < retention_.seal_batch)
-        return;
+    if (retention_.window_s > 0)
+        keep_from = std::max(
+            keep_from, lowerBound(newest - retention_.window_s));
     // Cut on a minute boundary at (or before) the first keeper, so
     // block seams land on rollup-bucket seams.
     const TimeS cut =
@@ -99,6 +108,13 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
     cold_.push_back(
         sealBlock(samples_.data(), seal_n, start_cut, cut));
     cold_samples_ += seal_n;
+    // Rollups only answer windows ending at or before exactSince(),
+    // a past seal cut, so the minute tier needs only sealed samples.
+    // The bucket ending at (or before) the cut is closed now: every
+    // later sample is >= cut, so its tail is already known.
+    for (std::size_t i = 0; i < seal_n; ++i)
+        minute_.record(samples_[i].time_s, samples_[i].value);
+    minute_.closeOpenBucket();
     samples_.erase(samples_.begin(),
                    samples_.begin() +
                        static_cast<std::ptrdiff_t>(seal_n));
@@ -170,13 +186,12 @@ TimeSeries::reserve(std::size_t n)
     if (!cold_.empty() || has_retired_)
         return;
     if (bounded_) {
-        const std::size_t bound =
-            (retention_.max_samples > 0
-                 ? retention_.max_samples
-                 : static_cast<std::size_t>(retention_.window_s) +
-                       1) +
-            retention_.seal_batch;
-        n = std::min(n, bound);
+        // A window bound alone says nothing about the cadence, so it
+        // cannot be turned into a sample count: let the ring grow
+        // (doubling stays under 2x its steady size).
+        if (retention_.max_samples == 0)
+            return;
+        n = std::min(n, retention_.max_samples + retention_.seal_batch);
     }
     samples_.reserve(n);
 }
@@ -530,6 +545,16 @@ TimeSeries::exactMaxRange(TimeS a, TimeS b, bool *seen,
     return best;
 }
 
+TimeS
+TimeSeries::minuteStart() const
+{
+    // An empty minute tier has dropped every sealed bucket; the first
+    // bucket it will hold is the hot ring's first sample's.
+    return minute_.empty()
+               ? alignDown(samples_.front().time_s, minute_.width())
+               : minute_.frontStart();
+}
+
 double
 TimeSeries::rollupIntegrateVs(TimeS a, TimeS b) const
 {
@@ -538,7 +563,7 @@ TimeSeries::rollupIntegrateVs(TimeS a, TimeS b) const
     // hour-aligned (dropRollups guarantees clean seams); a seam slice
     // that neither tier retains reads as 0 — dropped history is
     // clamped, never extrapolated.
-    const TimeS mstart = minute_.empty() ? b : minute_.frontStart();
+    const TimeS mstart = minuteStart();
     if (a >= mstart)
         return minute_.integrateVs(a, b);
     const TimeS hb = std::min(b, alignDown(mstart, 3600));
@@ -551,7 +576,7 @@ TimeSeries::rollupIntegrateVs(TimeS a, TimeS b) const
 double
 TimeSeries::rollupSumRange(TimeS a, TimeS b) const
 {
-    const TimeS mstart = minute_.empty() ? b : minute_.frontStart();
+    const TimeS mstart = minuteStart();
     if (a >= mstart)
         return minute_.sumRange(a, b);
     double acc =
@@ -564,7 +589,7 @@ TimeSeries::rollupSumRange(TimeS a, TimeS b) const
 double
 TimeSeries::rollupMaxRange(TimeS a, TimeS b, bool *seen) const
 {
-    const TimeS mstart = minute_.empty() ? b : minute_.frontStart();
+    const TimeS mstart = minuteStart();
     if (a >= mstart)
         return minute_.maxRange(a, b, seen);
     double best =

@@ -23,7 +23,9 @@
  *  - **rollups**: minute/hour buckets (retention.h) answering queries
  *    older than the cold span at bucket resolution; older than the
  *    hour tier, evicted history reads as 0 (clamped, never
- *    extrapolated).
+ *    extrapolated). The hour tier is recorded on every append; the
+ *    minute tier is folded from each sealed span, since it only ever
+ *    answers windows behind a seal cut.
  */
 
 #ifndef ECOV_TELEMETRY_TIME_SERIES_H
@@ -82,12 +84,13 @@ class TimeSeries
     /**
      * Pre-size the raw sample storage for n total samples: an
      * ecovisor that knows its horizon avoids repeated growth
-     * reallocation across long runs. On a bounded series the
-     * reservation is capped at the retention bound (plus the seal
-     * batch) — the ring can never hold more — and becomes a no-op
-     * once the first span has been sealed (the ring is at steady size
-     * then; re-reserving the horizon would defeat retention). Never
-     * shrinks.
+     * reallocation across long runs. Under a count bound the
+     * reservation is capped at max_samples plus the seal batch — the
+     * ring can never hold more. Under a window bound alone it is a
+     * no-op: the ring's size depends on the cadence, which the series
+     * cannot know. It is also a no-op once the first span has been
+     * sealed (the ring is at steady size then; re-reserving the
+     * horizon would defeat retention). Never shrinks.
      */
     void reserve(std::size_t n);
 
@@ -220,6 +223,8 @@ class TimeSeries
     double rollupIntegrateVs(TimeS a, TimeS b) const;
     double rollupSumRange(TimeS a, TimeS b) const;
     double rollupMaxRange(TimeS a, TimeS b, bool *seen) const;
+    /** Start of the minute tier's coverage (the rollup seam). */
+    TimeS minuteStart() const;
 
     std::vector<Sample> samples_; ///< hot ring (flat, oldest first)
     RetentionConfig retention_;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -371,6 +372,67 @@ TEST(Retention, ReserveIsCappedAndNoOpAfterSeal)
     EXPECT_GE(u.capacity(), 100000u);
 }
 
+/**
+ * The seal trigger: after every append the epoch bumps exactly when
+ * the bound has aged a whole batch out of the ring (keep_from >=
+ * seal_batch) and the minute-aligned cut before the first keeper
+ * leaves a non-empty prefix to seal. The reference keep_from is
+ * recomputed before each append from the ring plus the incoming
+ * sample, with the public lowerBound.
+ */
+TEST(Retention, SealFiresExactlyWhenABatchHasAgedOut)
+{
+    Rng rng{2026};
+    for (int trial = 0; trial < 48; ++trial) {
+        RetentionConfig cfg;
+        const int kind = trial % 3; // count, window, both
+        if (kind != 1)
+            cfg.max_samples =
+                1 + static_cast<std::size_t>(rng.uniform(0.0, 200.0));
+        if (kind != 0)
+            cfg.window_s = 1 + static_cast<TimeS>(rng.uniform(0.0, 7200.0));
+        cfg.seal_batch =
+            trial % 4 == 0
+                ? 1
+                : 1 + static_cast<std::size_t>(rng.uniform(0.0, 100.0));
+        TimeSeries s;
+        s.setRetention(cfg);
+        // Dense cadences put many samples in one minute (so some
+        // triggers find nothing before the aligned cut); sparse ones
+        // age samples out of a window one at a time.
+        const TimeS max_dt = trial % 2 == 0 ? 5 : 150;
+        TimeS t = static_cast<TimeS>(rng.uniform(0.0, 1000.0));
+        int seals = 0;
+        for (int i = 0; i < 3000; ++i) {
+            t += static_cast<TimeS>(
+                rng.uniform(0.0, static_cast<double>(max_dt) + 1.0));
+            const std::vector<Sample> &ring = s.samples();
+            const std::size_t n = ring.size() + 1;
+            std::size_t keep_from = 0;
+            if (cfg.max_samples > 0 && n > cfg.max_samples)
+                keep_from = n - cfg.max_samples;
+            if (cfg.window_s > 0)
+                keep_from = std::max(keep_from,
+                                     s.lowerBound(t - cfg.window_s));
+            bool expect_seal = false;
+            if (keep_from >= cfg.seal_batch) {
+                const TimeS keep_t = keep_from < ring.size()
+                                         ? ring[keep_from].time_s
+                                         : t;
+                expect_seal = s.lowerBound(alignDown(keep_t, 60)) > 0;
+            }
+            const std::uint64_t epoch = s.epoch();
+            s.append(t, rng.uniform(0.0, 10.0));
+            ASSERT_EQ(s.epoch() != epoch, expect_seal)
+                << "trial=" << trial << " append=" << i
+                << " keep_from=" << keep_from
+                << " seal_batch=" << cfg.seal_batch;
+            seals += expect_seal ? 1 : 0;
+        }
+        EXPECT_GT(seals, 0) << "trial=" << trial;
+    }
+}
+
 TEST(Retention, DatabaseDefaultAppliesToFreshSeriesOnly)
 {
     TsDatabase db;
@@ -541,6 +603,23 @@ TEST(Retention, ExpectedTicksReservationIsCappedWhenBounded)
     rig.eco.settleTick(0, 60);
     const TimeSeries &s = rig.eco.db().series("grid_carbon");
     EXPECT_LE(s.capacity(), 2 * (128u + s.retention().seal_batch));
+}
+
+/**
+ * The window-bound twin: a window says nothing about the cadence, so
+ * it cannot cap a reservation in samples. Reserving a million-tick
+ * horizon on a one-day window at 60 s ticks must not pin ~86k samples
+ * (one per window second) when the ring only ever holds ~1.5k.
+ */
+TEST(Retention, ExpectedTicksReservationIsCappedWhenWindowBounded)
+{
+    Rig rig(EcovisorOptions{.expected_ticks = 1000000,
+                            .retention_window_s = 86400});
+    rig.eco.addApp("a", appShare(0.5, 360.0));
+    rig.eco.settleTick(0, 60);
+    const TimeSeries &s = rig.eco.db().series("grid_carbon");
+    // One day of minute ticks, plus the seal batch, with 2x growth.
+    EXPECT_LE(s.capacity(), 2 * (1441u + s.retention().seal_batch));
 }
 
 } // namespace
