@@ -171,8 +171,8 @@ shapeOf(const ts::TsDatabase &db)
         s.raw += ser.size();
         s.cold_blocks += ser.coldBlockCount();
         s.cold_samples += ser.coldSampleCount();
-        s.minute_buckets += ser.minuteBucketCount();
-        s.hour_buckets += ser.hourBucketCount();
+        s.minute_buckets += ser.minuteTier().bucketCount();
+        s.hour_buckets += ser.hourTier().bucketCount();
         s.total_appends += ser.totalAppends();
     }
     return s;

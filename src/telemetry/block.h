@@ -46,13 +46,6 @@ struct SealedBlock
     double last_value = 0.0; ///< step value carried past the block
     std::uint32_t count = 0;
     std::vector<std::uint8_t> payload;
-
-    /** Approximate live bytes held by the block. */
-    std::size_t
-    memoryBytes() const
-    {
-        return sizeof(SealedBlock) + payload.capacity();
-    }
 };
 
 /**

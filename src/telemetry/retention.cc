@@ -7,8 +7,8 @@ namespace ecov::ts {
 namespace {
 
 /** First bucket with start >= t. */
-inline std::deque<RollupBucket>::const_iterator
-bucketLowerBound(const std::deque<RollupBucket> &buckets, TimeS t)
+inline const RollupBucket *
+bucketLowerBound(const TierQueue<RollupBucket> &buckets, TimeS t)
 {
     return std::lower_bound(
         buckets.begin(), buckets.end(), t,

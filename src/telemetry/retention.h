@@ -23,7 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <utility>
+#include <vector>
 
 #include "util/units.h"
 
@@ -105,6 +106,57 @@ alignUp(TimeS t, TimeS width)
 }
 
 /**
+ * FIFO storage for one retention tier: a vector plus a head index.
+ * pop_front() releases the element and advances the head. The dead
+ * prefix is compacted away when a push finds the vector full and at
+ * least an eighth of it dead: each compaction moves at most seven
+ * live elements per pop since the last one, so pops stay amortized
+ * O(1), and the vector only grows when it is 7/8 live. Unlike
+ * std::deque, an empty tier allocates nothing until its first push.
+ */
+template <typename T>
+class TierQueue
+{
+  public:
+    bool empty() const { return head_ == items_.size(); }
+    std::size_t size() const { return items_.size() - head_; }
+    std::size_t capacity() const { return items_.capacity(); }
+
+    const T *begin() const { return items_.data() + head_; }
+    const T *end() const { return items_.data() + items_.size(); }
+    const T &front() const { return items_[head_]; }
+    const T &back() const { return items_.back(); }
+    T &back() { return items_.back(); }
+
+    void
+    push_back(T v)
+    {
+        if (items_.size() == items_.capacity() &&
+            8 * head_ >= items_.size()) {
+            items_.erase(items_.begin(),
+                         items_.begin() +
+                             static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+        items_.push_back(std::move(v));
+    }
+
+    void
+    pop_front()
+    {
+        items_[head_++] = T{};
+        if (head_ == items_.size()) {
+            items_.clear();
+            head_ = 0;
+        }
+    }
+
+  private:
+    std::vector<T> items_;
+    std::size_t head_ = 0;
+};
+
+/**
  * One downsampled bucket covering [start_s, start_s + width).
  * `integral_vs` is the exact step integral of the raw samples over
  * the bucket (value-seconds), accumulated incrementally on append;
@@ -136,7 +188,10 @@ struct RollupBucket
 class RollupTier
 {
   public:
-    explicit RollupTier(TimeS width_s) : width_s_(width_s) {}
+    explicit RollupTier(TimeS width_s)
+        : width_s_(static_cast<std::int32_t>(width_s))
+    {
+    }
 
     TimeS width() const { return width_s_; }
     bool empty() const { return buckets_.empty(); }
@@ -147,6 +202,16 @@ class RollupTier
     frontStart() const
     {
         return buckets_.empty() ? 0 : buckets_.front().start_s;
+    }
+
+    /** Value of the last recorded sample (0 before the first). */
+    double carry() const { return carry_; }
+
+    /** Start of the newest retained bucket (0 when empty). */
+    TimeS
+    backStart() const
+    {
+        return buckets_.empty() ? 0 : buckets_.back().start_s;
     }
 
     /** Fold one appended sample in (timestamps non-decreasing). */
@@ -190,20 +255,21 @@ class RollupTier
      */
     double valueAt(TimeS t, bool *known) const;
 
-    /** Approximate live bytes held by the tier. */
+    /** Heap bytes held by the tier (bucket storage capacity). */
     std::size_t
     memoryBytes() const
     {
-        return buckets_.size() * sizeof(RollupBucket);
+        return buckets_.capacity() * sizeof(RollupBucket);
     }
 
   private:
-    TimeS width_s_;
-    std::deque<RollupBucket> buckets_;
+    TierQueue<RollupBucket> buckets_;
     /** Timestamp of the last recorded sample. */
     TimeS frontier_ = 0;
     /** Value of the last recorded sample (step carry). */
     double carry_ = 0.0;
+    /** Bucket width; 32 bits so it shares a word with open_. */
+    std::int32_t width_s_;
     /** The newest bucket still lacks its closing tail. */
     bool open_ = false;
 };

@@ -38,7 +38,6 @@ TimeSeries::setRetention(const RetentionConfig &config)
         retention_.minute_keep = retention_.cold_keep;
     if (retention_.hour_keep < retention_.minute_keep)
         retention_.hour_keep = retention_.minute_keep;
-    bounded_ = retention_.bounded();
 }
 
 void
@@ -48,10 +47,11 @@ TimeSeries::append(TimeS time_s, double value)
         fatal("TimeSeries::append: timestamps must be non-decreasing");
     samples_.push_back(Sample{time_s, value});
     ++total_appends_;
-    if (!bounded_)
+    if (!retention_.bounded())
         return;
-    // The minute tier is folded at seal time (sealPrefix); the hour
-    // tier stays per-append because its buckets straddle seal cuts.
+    // The minute tier is folded as cold blocks retire (retireCold);
+    // the hour tier stays per-append because its buckets straddle
+    // seal cuts.
     hour_.record(time_s, value);
     maybeSeal();
 }
@@ -102,19 +102,12 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
     // for the very first seal).
     const TimeS start_cut =
         !cold_.empty() ? cold_.back().end_cut_s
-        : has_retired_
+        : hasRetired()
             ? exact_since_s_
             : alignDown(samples_.front().time_s, kCutAlignS);
     cold_.push_back(
         sealBlock(samples_.data(), seal_n, start_cut, cut));
     cold_samples_ += seal_n;
-    // Rollups only answer windows ending at or before exactSince(),
-    // a past seal cut, so the minute tier needs only sealed samples.
-    // The bucket ending at (or before) the cut is closed now: every
-    // later sample is >= cut, so its tail is already known.
-    for (std::size_t i = 0; i < seal_n; ++i)
-        minute_.record(samples_[i].time_s, samples_[i].value);
-    minute_.closeOpenBucket();
     samples_.erase(samples_.begin(),
                    samples_.begin() +
                        static_cast<std::ptrdiff_t>(seal_n));
@@ -144,12 +137,20 @@ TimeSeries::retireCold()
         }
         if (!retire)
             return;
+        // Rollups only answer windows ending at or before
+        // exactSince(), so the minute tier needs only retired samples.
+        // The bucket ending at (or before) the block's end cut is
+        // closed now: every later sample is >= the cut, so its tail is
+        // already known.
+        BlockCursor bc(front);
+        Sample smp;
+        while (bc.next(&smp))
+            minute_.record(smp.time_s, smp.value);
+        minute_.closeOpenBucket();
         // The block's end cut becomes the exact-coverage boundary;
-        // its closing value is the step carry for queries starting
-        // exactly at that boundary.
-        has_retired_ = true;
+        // its closing value, now the minute tier's carry, is the step
+        // value for queries starting exactly at that boundary.
         exact_since_s_ = front.end_cut_s;
-        value_before_exact_ = front.last_value;
         cold_samples_ -= front.count;
         cold_.pop_front();
     }
@@ -167,11 +168,16 @@ TimeSeries::dropRollups()
             newest - samples_.front().time_s, kCutAlignS);
     // Hour-aligned drops for both tiers keep the hour->minute seam
     // clean: a surviving minute front never splits an hour bucket
-    // that was itself dropped.
-    minute_.dropBefore(alignDown(
-        newest - static_cast<TimeS>(retention_.minute_keep *
-                                    static_cast<double>(w_eff)),
-        3600));
+    // that was itself dropped. Under a count bound w_eff can grow, so
+    // the minute cut is held at its running maximum: buckets folded
+    // later must not outlive a cut applied before they existed.
+    minute_cut_s_ = std::max(
+        minute_cut_s_,
+        alignDown(newest - static_cast<TimeS>(
+                               retention_.minute_keep *
+                               static_cast<double>(w_eff)),
+                  3600));
+    minute_.dropBefore(minute_cut_s_);
     hour_.dropBefore(alignDown(
         newest - static_cast<TimeS>(retention_.hour_keep *
                                     static_cast<double>(w_eff)),
@@ -183,9 +189,9 @@ TimeSeries::reserve(std::size_t n)
 {
     // Once a span has been sealed the ring is at its steady retention
     // size; re-reserving the full horizon would defeat the bound.
-    if (!cold_.empty() || has_retired_)
+    if (!cold_.empty() || hasRetired())
         return;
-    if (bounded_) {
+    if (retention_.bounded()) {
         // A window bound alone says nothing about the cadence, so it
         // cannot be turned into a sample count: let the ring grow
         // (doubling stays under 2x its steady size).
@@ -239,22 +245,21 @@ TimeSeries::valueAt(TimeS t) const
 {
     if (samples_.empty())
         return 0.0;
-    if ((cold_.empty() && !has_retired_) ||
+    if ((cold_.empty() && !hasRetired()) ||
         t >= samples_.front().time_s) {
         const std::size_t idx = lowerBound(t);
         if (idx < samples_.size() && samples_[idx].time_s == t)
             return samples_[idx].value;
         if (idx == 0)
-            return cold_.empty()
-                       ? (has_retired_ ? value_before_exact_ : 0.0)
-                       : cold_.back().last_value;
+            return cold_.empty() ? minute_.carry()
+                                 : cold_.back().last_value;
         return samples_[idx - 1].value;
     }
-    if (!has_retired_ || t >= exact_since_s_) {
+    if (t >= exact_since_s_) {
         // Exact region: the step value at t from the cold blocks,
         // matching the flat series' semantics (first sample with
         // time >= t wins an exact hit; else the previous sample).
-        double prev = has_retired_ ? value_before_exact_ : 0.0;
+        double prev = minute_.carry();
         for (const SealedBlock &blk : cold_) {
             if (blk.last_time_s < t) {
                 prev = blk.last_value;
@@ -329,12 +334,12 @@ TimeSeries::integrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
         return 0.0;
     // Window entirely inside the hot ring (or nothing ever evicted):
     // the legacy flat scan, bit-identical to the unbounded series.
-    if ((cold_.empty() && !has_retired_) ||
+    if ((cold_.empty() && !hasRetired()) ||
         t1 >= samples_.front().time_s)
         return hotIntegrateWh(t1, t2, cursor);
     double acc_vs = 0.0;
     TimeS a = t1;
-    if (has_retired_ && t1 < exact_since_s_) {
+    if (t1 < exact_since_s_) {
         const TimeS rb = std::min(t2, exact_since_s_);
         acc_vs += rollupIntegrateVs(t1, rb);
         a = rb;
@@ -355,7 +360,7 @@ TimeSeries::exactIntegrateVs(TimeS a, TimeS b) const
     // the step value, `acc` accumulates current * dt at each sample
     // boundary in (a, b), so results over the cold+hot coverage are
     // bit-identical to the unbounded series.
-    double current = has_retired_ ? value_before_exact_ : 0.0;
+    double current = minute_.carry();
     double acc = 0.0;
     TimeS cursor_t = a;
     bool at_start = true;
@@ -427,14 +432,13 @@ TimeSeries::hotSumRange(TimeS t1, TimeS t2, Cursor *cursor) const
 double
 TimeSeries::sumRange(TimeS t1, TimeS t2, Cursor *cursor) const
 {
-    if (samples_.empty() || (cold_.empty() && !has_retired_) ||
+    if (samples_.empty() || (cold_.empty() && !hasRetired()) ||
         t1 >= samples_.front().time_s)
         return hotSumRange(t1, t2, cursor);
     double acc = 0.0;
-    if (has_retired_ && t1 < exact_since_s_)
+    if (t1 < exact_since_s_)
         acc += rollupSumRange(t1, std::min(t2, exact_since_s_));
-    const TimeS a =
-        has_retired_ ? std::max(t1, exact_since_s_) : t1;
+    const TimeS a = std::max(t1, exact_since_s_);
     if (a < t2)
         acc += exactSumRange(a, t2);
     if (cursor) {
@@ -485,7 +489,7 @@ TimeSeries::averageOver(TimeS t1, TimeS t2) const
 double
 TimeSeries::maxRange(TimeS t1, TimeS t2) const
 {
-    if (samples_.empty() || (cold_.empty() && !has_retired_) ||
+    if (samples_.empty() || (cold_.empty() && !hasRetired()) ||
         t1 >= samples_.front().time_s) {
         double best = 0.0;
         bool seen = false;
@@ -500,11 +504,10 @@ TimeSeries::maxRange(TimeS t1, TimeS t2) const
     }
     bool seen = false;
     double best = 0.0;
-    if (has_retired_ && t1 < exact_since_s_)
+    if (t1 < exact_since_s_)
         best = rollupMaxRange(t1, std::min(t2, exact_since_s_),
                               &seen);
-    const TimeS a =
-        has_retired_ ? std::max(t1, exact_since_s_) : t1;
+    const TimeS a = std::max(t1, exact_since_s_);
     if (a < t2)
         best = exactMaxRange(a, t2, &seen, best);
     return seen ? best : 0.0;
@@ -548,11 +551,21 @@ TimeSeries::exactMaxRange(TimeS a, TimeS b, bool *seen,
 TimeS
 TimeSeries::minuteStart() const
 {
-    // An empty minute tier has dropped every sealed bucket; the first
-    // bucket it will hold is the hot ring's first sample's.
-    return minute_.empty()
-               ? alignDown(samples_.front().time_s, minute_.width())
-               : minute_.frontStart();
+    if (!minute_.empty())
+        return minute_.frontStart();
+    // Nothing retired survives the drop cut. The seam is the first
+    // bucket the minute tier will hold: that of the first sample at
+    // or after the cut, in the cold blocks, else the hot ring's first.
+    for (const SealedBlock &blk : cold_) {
+        if (blk.last_time_s < minute_cut_s_)
+            continue;
+        BlockCursor bc(blk);
+        Sample smp;
+        while (bc.next(&smp))
+            if (smp.time_s >= minute_cut_s_)
+                return alignDown(smp.time_s, minute_.width());
+    }
+    return alignDown(samples_.front().time_s, minute_.width());
 }
 
 double
@@ -608,10 +621,11 @@ TimeSeries::rollupMaxRange(TimeS a, TimeS b, bool *seen) const
 std::size_t
 TimeSeries::memoryBytes() const
 {
-    std::size_t bytes =
-        sizeof(TimeSeries) + samples_.capacity() * sizeof(Sample);
+    std::size_t bytes = sizeof(TimeSeries) +
+                        samples_.capacity() * sizeof(Sample) +
+                        cold_.capacity() * sizeof(SealedBlock);
     for (const SealedBlock &blk : cold_)
-        bytes += blk.memoryBytes();
+        bytes += blk.payload.capacity();
     bytes += minute_.memoryBytes() + hour_.memoryBytes();
     return bytes;
 }

@@ -24,8 +24,8 @@
  *    older than the cold span at bucket resolution; older than the
  *    hour tier, evicted history reads as 0 (clamped, never
  *    extrapolated). The hour tier is recorded on every append; the
- *    minute tier is folded from each sealed span, since it only ever
- *    answers windows behind a seal cut.
+ *    minute tier is folded from each cold block as it retires, since
+ *    it only ever answers windows behind the oldest retained block.
  */
 
 #ifndef ECOV_TELEMETRY_TIME_SERIES_H
@@ -33,7 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <vector>
 
 #include "telemetry/block.h"
@@ -76,7 +76,7 @@ class TimeSeries
     const RetentionConfig &retention() const { return retention_; }
 
     /** True when a retention bound is configured. */
-    bool bounded() const { return bounded_; }
+    bool bounded() const { return retention_.bounded(); }
 
     /** Append a sample; timestamps must be non-decreasing. */
     void append(TimeS time_s, double value);
@@ -175,14 +175,11 @@ class TimeSeries
     /** Raw samples held inside the cold blocks. */
     std::size_t coldSampleCount() const { return cold_samples_; }
 
-    /** Minute-rollup buckets currently retained. */
-    std::size_t minuteBucketCount() const
-    {
-        return minute_.bucketCount();
-    }
+    /** The minute-rollup tier (retired history only). */
+    const RollupTier &minuteTier() const { return minute_; }
 
-    /** Hour-rollup buckets currently retained. */
-    std::size_t hourBucketCount() const { return hour_.bucketCount(); }
+    /** The hour-rollup tier. */
+    const RollupTier &hourTier() const { return hour_; }
 
     /**
      * Start of the exact (cold+hot) coverage: queries from here on
@@ -190,12 +187,12 @@ class TimeSeries
      * after hasRetired(); before that, exact coverage is the whole
      * history.
      */
-    TimeS exactSince() const { return exact_since_s_; }
+    TimeS exactSince() const { return hasRetired() ? exact_since_s_ : 0; }
 
     /** True once at least one cold block has been retired. */
-    bool hasRetired() const { return has_retired_; }
+    bool hasRetired() const { return exact_since_s_ != kNotRetired; }
 
-    /** Approximate live bytes across all tiers. */
+    /** Heap bytes across all tiers, each counted by capacity. */
     std::size_t memoryBytes() const;
 
   private:
@@ -228,22 +225,25 @@ class TimeSeries
 
     std::vector<Sample> samples_; ///< hot ring (flat, oldest first)
     RetentionConfig retention_;
-    bool bounded_ = false;
 
     std::uint64_t epoch_ = 0;
     std::uint64_t total_appends_ = 0;
 
     /** Sealed cold spans, oldest first; spans tile [start,end) cuts. */
-    std::deque<SealedBlock> cold_;
+    TierQueue<SealedBlock> cold_;
     std::size_t cold_samples_ = 0;
 
-    /** Exact-coverage boundary state (set by cold retirement). */
-    bool has_retired_ = false;
-    TimeS exact_since_s_ = 0;
-    double value_before_exact_ = 0.0;
+    /** Exact-coverage boundary: the newest retired block's end cut.
+     *  The step value carried across it is minute_.carry(), since the
+     *  minute tier has folded every retired sample. */
+    static constexpr TimeS kNotRetired = std::numeric_limits<TimeS>::min();
+    TimeS exact_since_s_ = kNotRetired;
 
     RollupTier minute_{60};
     RollupTier hour_{3600};
+    /** Running maximum of the minute tier's drop cuts: a block folded
+     *  on retirement must not keep buckets an earlier cut dropped. */
+    TimeS minute_cut_s_ = std::numeric_limits<TimeS>::min();
 };
 
 } // namespace ecov::ts

@@ -15,6 +15,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -27,6 +28,10 @@
 #include "telemetry/ts_database.h"
 #include "util/logging.h"
 #include "util/rng.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace ecov::ts {
 namespace {
@@ -431,6 +436,103 @@ TEST(Retention, SealFiresExactlyWhenABatchHasAgedOut)
         }
         EXPECT_GT(seals, 0) << "trial=" << trial;
     }
+}
+
+/**
+ * Store shape: the minute tier is built only from retired cold
+ * blocks, so it stays empty until the first retirement and afterwards
+ * never reaches past exactSince() (its newest bucket ends at or
+ * before the exact-coverage cut).
+ */
+TEST(Retention, MinuteTierHoldsOnlyRetiredHistory)
+{
+    RetentionConfig window_cfg;
+    window_cfg.window_s = 1800;
+    window_cfg.seal_batch = 8;
+    RetentionConfig count_cfg;
+    count_cfg.max_samples = 50;
+    count_cfg.seal_batch = 4;
+    count_cfg.cold_keep = 2.0;
+    for (const RetentionConfig &cfg : {window_cfg, count_cfg}) {
+        TimeSeries s;
+        s.setRetention(cfg);
+        Rng rng{31};
+        TimeS t = 443;
+        bool sealed_before_retiring = false;
+        int steady = 0;
+        for (int i = 0; i < 4000; ++i) {
+            t += 10 + static_cast<TimeS>(rng.uniform(0.0, 80.0));
+            if (i % 97 == 0)
+                t += 5000;
+            s.append(t, rng.uniform(0.0, 10.0));
+            const RollupTier &minute = s.minuteTier();
+            if (!s.hasRetired()) {
+                ASSERT_EQ(minute.bucketCount(), 0u) << "append " << i;
+                sealed_before_retiring |= s.coldBlockCount() > 0;
+                continue;
+            }
+            if (minute.empty())
+                continue;
+            ASSERT_LE(minute.backStart() + minute.width(),
+                      s.exactSince())
+                << "append " << i;
+            ++steady;
+        }
+        EXPECT_TRUE(sealed_before_retiring);
+        EXPECT_GT(steady, 1000) << "max_samples=" << cfg.max_samples;
+    }
+}
+
+/** A bounded series that has never sealed holds only its hot ring and
+ *  hour buckets: no cold blocks and no minute storage. */
+TEST(Retention, UnsealedBoundedSeriesHoldsNoColdOrMinuteStorage)
+{
+    RetentionConfig cfg;
+    cfg.window_s = 86400;
+    TimeSeries s;
+    s.setRetention(cfg);
+    EXPECT_EQ(s.memoryBytes(), sizeof(TimeSeries));
+    for (int i = 0; i < 100; ++i)
+        s.append(static_cast<TimeS>(i) * 60, 1.0);
+    ASSERT_EQ(s.epoch(), 0u);
+    EXPECT_EQ(s.coldBlockCount(), 0u);
+    EXPECT_EQ(s.minuteTier().memoryBytes(), 0u);
+    EXPECT_GT(s.hourTier().memoryBytes(), 0u);
+    EXPECT_EQ(s.memoryBytes(), sizeof(TimeSeries) +
+                                   s.capacity() * sizeof(Sample) +
+                                   s.hourTier().memoryBytes());
+}
+
+/** Empty tiers allocate nothing: interning a bounded series and
+ *  appending one sample costs its slab slot, its intern-table node,
+ *  one ring sample and one hour bucket. Measured with glibc's
+ *  mallinfo2 (the heap probe micro_telemetry_overhead uses). */
+TEST(Retention, InterningBoundedSeriesAllocatesUnder512BytesEach)
+{
+#if defined(__GLIBC__)
+    {
+        // Sanitizer runtimes replace malloc; mallinfo2 then reads 0.
+        const auto probe_before = mallinfo2().uordblks;
+        void *volatile probe = std::malloc(4096);
+        const bool visible = mallinfo2().uordblks > probe_before;
+        std::free(probe);
+        if (!visible)
+            GTEST_SKIP() << "mallinfo2 does not see this allocator";
+    }
+    constexpr int kSeries = 10000;
+    TsDatabase db;
+    RetentionConfig cfg;
+    cfg.window_s = 86400;
+    db.setDefaultRetention(cfg);
+    const auto before = mallinfo2().uordblks;
+    for (int i = 0; i < kSeries; ++i)
+        db.append(db.intern("container_power", "c" + std::to_string(i)),
+                  60, 1.0);
+    const auto after = mallinfo2().uordblks;
+    EXPECT_LT(static_cast<double>(after - before) / kSeries, 512.0);
+#else
+    GTEST_SKIP() << "heap probe needs glibc mallinfo2";
+#endif
 }
 
 TEST(Retention, DatabaseDefaultAppliesToFreshSeriesOnly)

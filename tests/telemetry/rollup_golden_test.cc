@@ -348,5 +348,99 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(param.param.name);
     });
 
+/**
+ * Randomized rollup-region sweep: 100 seeded retention configs (count,
+ * window and both bounds; seal_batch 1-128; keeps 0-80 before
+ * clamping, mostly small so the rollup drop cuts reach the cold
+ * blocks; gaps up to 20000 s) each stream a series and sweep the
+ * five queries over windows reaching behind exactSince(). One digest
+ * over every answer pins them all. The config mix is asserted too, so
+ * the sweep keeps covering the cases where lazily built rollups can
+ * diverge: count bounds across long gaps (the effective window, and
+ * with it the rollup drop cut, moves backwards), several cold blocks
+ * retiring in one seal, seal_batch 1 and keeps clamped to 1.
+ */
+TEST(RollupGoldenRandom, RandomConfigsMatchDigest)
+{
+    constexpr int kConfigs = 100;
+    constexpr int kAppends = 4000;
+    constexpr int kSweeps = 64;
+    constexpr int kProbes = 24;
+    std::uint64_t digest = kFnvBasis;
+    int retired = 0, multi_retire = 0, count_gaps = 0, batch_one = 0,
+        clamped = 0;
+    for (int k = 0; k < kConfigs; ++k) {
+        SplitMix g{0xc0ffee00ULL + static_cast<std::uint64_t>(k)};
+        RetentionConfig cfg;
+        if (k % 3 != 1)
+            cfg.max_samples = static_cast<std::size_t>(g.range(10, 300));
+        if (k % 3 != 0)
+            cfg.window_s = g.range(60, 7200);
+        cfg.seal_batch =
+            k % 5 == 0 ? 1 : static_cast<std::size_t>(g.range(1, 128));
+        cfg.cold_keep = g.unit() * 3.0;
+        cfg.minute_keep = g.unit() * 6.0;
+        cfg.hour_keep = g.unit() * 80.0;
+        Cadence cad;
+        cad.min_dt = g.range(1, 60);
+        cad.max_dt = cad.min_dt + g.range(0, 120);
+        if (k % 4 != 3) {
+            cad.gap_every = static_cast<int>(g.range(5, 200));
+            cad.gap_s = k % 4 == 0 ? 5000 : g.range(100, 20000);
+        }
+        count_gaps += cfg.max_samples > 0 && cad.gap_s >= 5000;
+        batch_one += cfg.seal_batch == 1;
+        clamped += cfg.cold_keep < 1.0 ||
+                   cfg.minute_keep < cfg.cold_keep ||
+                   cfg.hour_keep < cfg.minute_keep;
+
+        TimeSeries s;
+        s.setRetention(cfg);
+        SplitMix data{0xda7a0000ULL + static_cast<std::uint64_t>(k)};
+        const TimeS first_t = 443;
+        TimeS t = first_t;
+        bool saw_multi = false;
+        for (int i = 0; i < kAppends; ++i) {
+            if (i > 0) {
+                t += data.range(cad.min_dt, cad.max_dt);
+                if (cad.gap_every > 0 && i % cad.gap_every == 0)
+                    t += cad.gap_s;
+            }
+            const std::size_t blocks = s.coldBlockCount();
+            const std::uint64_t epoch = s.epoch();
+            s.append(t, data.unit() * 100.0 - 20.0);
+            // A seal adds one block; more than one retiring shows as
+            // a net drop of two or more.
+            if (blocks + (s.epoch() != epoch) >= s.coldBlockCount() + 2)
+                saw_multi = true;
+            if ((i + 1) % (kAppends / kSweeps) != 0 || !s.hasRetired())
+                continue;
+            const TimeS lo = first_t - 600;
+            const TimeS hi = s.exactSince();
+            for (int p = 0; p < kProbes; ++p) {
+                const TimeS t1 = data.range(
+                    p % 2 == 0 ? lo : std::max(lo, hi - 20000), hi - 1);
+                const TimeS t2 = t1 + (p % 3 == 0
+                                           ? data.range(1, 20000)
+                                           : kLengths[data.next() %
+                                                      std::size(kLengths)]);
+                fold(&digest, s.integrateWh(t1, t2));
+                fold(&digest, s.sumRange(t1, t2));
+                fold(&digest, s.maxRange(t1, t2));
+                fold(&digest, s.averageOver(t1, t2));
+                fold(&digest, s.valueAt(t1));
+            }
+        }
+        retired += s.hasRetired();
+        multi_retire += saw_multi;
+    }
+    EXPECT_GE(retired, 90);
+    EXPECT_GE(multi_retire, 30);
+    EXPECT_GE(count_gaps, 40);
+    EXPECT_GE(batch_one, 20);
+    EXPECT_GE(clamped, 40);
+    EXPECT_EQ(hex64(digest), "0x5f66b338f1871bddULL");
+}
+
 } // namespace
 } // namespace ecov::ts
