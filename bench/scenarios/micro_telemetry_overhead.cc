@@ -6,10 +6,11 @@
  * tagging the shim pays per call), interval queries with and without
  * the monotone cursor hint, allocation traffic on the write paths,
  * and the bounded-retention append (rollup folding + amortized
- * sealing) next to the heap held by a bounded vs unbounded series. The companion of `micro_cop_overhead`: that one times the
- * cluster layer, this one times the store every settled tick records
- * into. All timing results are host-dependent perf metrics
- * (warn-only in `ecobench diff`).
+ * sealing), on one series and across a thousand, next to the heap
+ * held by a bounded vs unbounded series. The companion of
+ * `micro_cop_overhead`: that one times the cluster layer, this one
+ * times the store every settled tick records into. All timing results
+ * are host-dependent perf metrics (warn-only in `ecobench diff`).
  */
 
 #include <chrono>
@@ -218,6 +219,28 @@ run(const ScenarioOptions &opt)
                    bnow += 60;
                    return 0.0;
                }));
+
+        // The same append across the paper mix's shape: 1028 series
+        // written once per 60 s tick for two days (one sealing, at a
+        // one-day window). A single series lives in L1; a thousand
+        // rings and hour buckets do not, so this row sees the memory
+        // traffic each append costs.
+        constexpr int kSeries = 1028;
+        constexpr int kTicks = 2880;
+        ts::TsDatabase many;
+        many.setDefaultRetention(retention);
+        for (int i = 0; i < kSeries; ++i)
+            many.intern("app_power_w", "s" + std::to_string(i));
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int k = 0; k < kTicks; ++k)
+            for (ts::SeriesId id = 0; id < kSeries; ++id)
+                many.append(id, static_cast<TimeS>(k) * 60,
+                            0.5 + static_cast<double>((k + id) % 17));
+        record("append_bounded_1k_series",
+               std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - t0)
+                       .count() /
+                   (static_cast<double>(kSeries) * kTicks));
 
         const double ub = static_cast<double>(unbounded.memoryBytes());
         const double bb = static_cast<double>(bounded.memoryBytes());

@@ -18,31 +18,16 @@ bucketLowerBound(const TierQueue<RollupBucket> &buckets, TimeS t)
 } // namespace
 
 void
-RollupTier::record(TimeS t, double v)
+RollupTier::openBucket(TimeS t, double v)
 {
+    closeOpenBucket();
+    // The span from the new bucket's start boundary to this sample
+    // integrates the carried-in step value (0 before the first sample
+    // ever, matching the raw-series convention).
     const TimeS bstart = alignDown(t, width_s_);
-    if (buckets_.empty() || buckets_.back().start_s != bstart) {
-        closeOpenBucket();
-        // Open the new bucket; the span from its start boundary to
-        // this sample integrates the carried-in step value (0 before
-        // the first sample ever, matching the raw-series convention).
-        buckets_.push_back(RollupBucket{
-            bstart, v, v, v, v,
-            carry_ * static_cast<double>(t - bstart), 1});
-        open_ = true;
-    } else {
-        RollupBucket &b = buckets_.back();
-        b.integral_vs += carry_ * static_cast<double>(t - frontier_);
-        b.sum += v;
-        if (v < b.min)
-            b.min = v;
-        if (v > b.max)
-            b.max = v;
-        b.last = v;
-        ++b.count;
-    }
-    frontier_ = t;
-    carry_ = v;
+    buckets_.push_back(RollupBucket{
+        bstart, v, v, v, carry_ * static_cast<double>(t - bstart)});
+    open_ = true;
 }
 
 void

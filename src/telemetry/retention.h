@@ -8,9 +8,9 @@
  *   hot ring   raw samples inside the retention bound (exact)
  *   cold       delta-compressed sealed blocks of evicted raw spans
  *              (still exact, decoded transparently by queries)
- *   rollups    minute and hour buckets (sum/min/max/count plus the
- *              step integral), answering queries older than the cold
- *              span at bucket resolution
+ *   rollups    minute and hour buckets (sum/max/last plus the step
+ *              integral), answering queries older than the cold span
+ *              at bucket resolution
  *
  * Everything here is a deterministic function of the appended samples
  * and the config — eviction decisions never depend on wall clock,
@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -107,23 +108,37 @@ alignUp(TimeS t, TimeS width)
 
 /**
  * FIFO storage for one retention tier: a vector plus a head index.
- * pop_front() releases the element and advances the head. The dead
- * prefix is compacted away when a push finds the vector full and at
- * least an eighth of it dead: each compaction moves at most seven
- * live elements per pop since the last one, so pops stay amortized
- * O(1), and the vector only grows when it is 7/8 live. Unlike
- * std::deque, an empty tier allocates nothing until its first push.
+ * pop_front()/dropFront() advance the head; the dead prefix is
+ * compacted away only when a push finds the vector full. Unlike
+ * std::deque, an empty queue allocates nothing until its first push.
+ *
+ * Two compaction rules, chosen by `kCompactAnyDead`:
+ *  - false (cold blocks, rollup buckets): compact when at least an
+ *    eighth of the vector is dead. Each compaction moves at most seven
+ *    live elements per pop since the last one, so pops stay amortized
+ *    O(1) however few elements each drop removes, and the vector only
+ *    grows when it is 7/8 live.
+ *  - true (the hot ring): compact when any prefix is dead. The vector
+ *    then grows exactly when a vector erased at the front would, so
+ *    the ring's capacity never exceeds that of the flat layout (a
+ *    count-bounded ring reserved at its steady size stays there).
+ *    A compaction moves the live ring once, which the erase it
+ *    replaces did on every seal; with spare capacity it happens
+ *    once per several seals.
  */
-template <typename T>
+template <typename T, bool kCompactAnyDead = false>
 class TierQueue
 {
   public:
     bool empty() const { return head_ == items_.size(); }
     std::size_t size() const { return items_.size() - head_; }
     std::size_t capacity() const { return items_.capacity(); }
+    void reserve(std::size_t n) { items_.reserve(head_ + n); }
 
-    const T *begin() const { return items_.data() + head_; }
+    const T *data() const { return items_.data() + head_; }
+    const T *begin() const { return data(); }
     const T *end() const { return items_.data() + items_.size(); }
+    const T &operator[](std::size_t i) const { return items_[head_ + i]; }
     const T &front() const { return items_[head_]; }
     const T &back() const { return items_.back(); }
     T &back() { return items_.back(); }
@@ -131,27 +146,50 @@ class TierQueue
     void
     push_back(T v)
     {
-        if (items_.size() == items_.capacity() &&
-            8 * head_ >= items_.size()) {
-            items_.erase(items_.begin(),
-                         items_.begin() +
-                             static_cast<std::ptrdiff_t>(head_));
-            head_ = 0;
-        }
+        if (items_.size() == items_.capacity() && head_ > 0 &&
+            (kCompactAnyDead || 8 * head_ >= items_.size()))
+            compact();
         items_.push_back(std::move(v));
     }
 
+    /** Release the oldest element (its resources too) and advance. */
     void
     pop_front()
     {
         items_[head_++] = T{};
-        if (head_ == items_.size()) {
-            items_.clear();
-            head_ = 0;
-        }
+        if (head_ == items_.size())
+            clear();
+    }
+
+    /**
+     * Drop the n oldest elements by advancing the head alone; only
+     * for trivially destructible T, which holds nothing to release.
+     */
+    void
+    dropFront(std::size_t n)
+    {
+        static_assert(std::is_trivially_destructible_v<T>);
+        head_ += n;
+        if (head_ == items_.size())
+            clear();
     }
 
   private:
+    void
+    clear()
+    {
+        items_.clear();
+        head_ = 0;
+    }
+
+    void
+    compact()
+    {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+
     std::vector<T> items_;
     std::size_t head_ = 0;
 };
@@ -167,11 +205,9 @@ struct RollupBucket
 {
     TimeS start_s = 0;
     double sum = 0.0;
-    double min = 0.0;
     double max = 0.0;
     double last = 0.0;
     double integral_vs = 0.0;
-    std::int64_t count = 0;
 };
 
 /**
@@ -214,8 +250,28 @@ class RollupTier
         return buckets_.empty() ? 0 : buckets_.back().start_s;
     }
 
-    /** Fold one appended sample in (timestamps non-decreasing). */
-    void record(TimeS t, double v);
+    /**
+     * Fold one appended sample in (timestamps non-decreasing). Inline:
+     * at 60 s ticks the hour tier updates its open bucket in place on
+     * 59 of 60 appends. Since t never precedes the newest bucket's
+     * start, "same bucket" is a subtraction, not an alignDown().
+     */
+    void
+    record(TimeS t, double v)
+    {
+        if (buckets_.empty() || t - buckets_.back().start_s >= width_s_) {
+            openBucket(t, v);
+        } else {
+            RollupBucket &b = buckets_.back();
+            b.integral_vs += carry_ * static_cast<double>(t - frontier_);
+            b.sum += v;
+            if (v > b.max)
+                b.max = v;
+            b.last = v;
+        }
+        frontier_ = t;
+        carry_ = v;
+    }
 
     /**
      * Close the open bucket now, adding the tail of its step integral
@@ -263,6 +319,9 @@ class RollupTier
     }
 
   private:
+    /** record()'s slow path: close the open bucket, open t's. */
+    void openBucket(TimeS t, double v);
+
     TierQueue<RollupBucket> buckets_;
     /** Timestamp of the last recorded sample. */
     TimeS frontier_ = 0;

@@ -20,6 +20,9 @@ constexpr TimeS kCutAlignS = 60;
 
 } // namespace
 
+static_assert(sizeof(TimeSeries) <= 256,
+              "two series per 512-byte slab node (TsDatabase)");
+
 void
 TimeSeries::setRetention(const RetentionConfig &config)
 {
@@ -41,43 +44,21 @@ TimeSeries::setRetention(const RetentionConfig &config)
 }
 
 void
-TimeSeries::append(TimeS time_s, double value)
+TimeSeries::outOfOrder()
 {
-    if (!samples_.empty() && time_s < samples_.back().time_s)
-        fatal("TimeSeries::append: timestamps must be non-decreasing");
-    samples_.push_back(Sample{time_s, value});
-    ++total_appends_;
-    if (!retention_.bounded())
-        return;
-    // The minute tier is folded as cold blocks retire (retireCold);
-    // the hour tier stays per-append because its buckets straddle
-    // seal cuts.
-    hour_.record(time_s, value);
-    maybeSeal();
+    fatal("TimeSeries::append: timestamps must be non-decreasing");
 }
 
 void
 TimeSeries::maybeSeal()
 {
-    // Amortize: seal only once the first index the bound wants to
-    // keep (keep_from below) reaches seal_batch. Decided in O(1): the
-    // count bound keeps from n - max_samples, and since times are
-    // monotone, lowerBound(newest - window_s) >= seal_batch iff
-    // sample seal_batch-1 is older than the window.
+    // Runs once sealDue() saw the first index the bound wants to keep
+    // (keep_from below) reach seal_batch. keep_from: the tighter of
+    // the two bounds. A pure function of the appended data and the
+    // config — no wall clock, no allocator state — so eviction is
+    // deterministic and thread-count independent.
     const std::size_t n = samples_.size();
-    const std::size_t batch = retention_.seal_batch;
     const TimeS newest = samples_.back().time_s;
-    const bool count_due = retention_.max_samples > 0 &&
-                           n >= retention_.max_samples + batch;
-    const bool window_due =
-        retention_.window_s > 0 && n >= batch &&
-        samples_[batch - 1].time_s < newest - retention_.window_s;
-    if (!count_due && !window_due)
-        return;
-    // keep_from: the tighter of the two bounds. A pure function of
-    // the appended data and the config — no wall clock, no allocator
-    // state — so eviction is deterministic and thread-count
-    // independent.
     std::size_t keep_from = 0;
     if (retention_.max_samples > 0 && n > retention_.max_samples)
         keep_from = n - retention_.max_samples;
@@ -108,11 +89,9 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
     cold_.push_back(
         sealBlock(samples_.data(), seal_n, start_cut, cut));
     cold_samples_ += seal_n;
-    samples_.erase(samples_.begin(),
-                   samples_.begin() +
-                       static_cast<std::ptrdiff_t>(seal_n));
-    // The ring base moved: outstanding index cursors are stale now.
-    ++epoch_;
+    // The ring base moves, and with it epoch(): outstanding index
+    // cursors are stale now.
+    samples_.dropFront(seal_n);
     retireCold();
     dropRollups();
 }
@@ -301,12 +280,12 @@ TimeSeries::hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
     // only when its epoch matches the ring's — a cursor from before
     // an eviction batch self-resets to a full search instead of
     // pointing at the wrong sample.
-    std::size_t idx = (cursor && cursor->epoch == epoch_)
+    std::size_t idx = (cursor && cursor->epoch == epoch())
                           ? lowerBound(t1, cursor->index)
                           : lowerBound(t1);
     if (cursor) {
         cursor->index = idx;
-        cursor->epoch = epoch_;
+        cursor->epoch = epoch();
     }
     // Value in effect at t1: the previous sample's (or 0 before the
     // first) — read straight from the index the search already found,
@@ -348,7 +327,7 @@ TimeSeries::integrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
         acc_vs += exactIntegrateVs(a, t2);
     if (cursor) {
         cursor->index = lowerBound(t1);
-        cursor->epoch = epoch_;
+        cursor->epoch = epoch();
     }
     return acc_vs / kSecondsPerHour;
 }
@@ -415,12 +394,12 @@ TimeSeries::exactIntegrateVs(TimeS a, TimeS b) const
 double
 TimeSeries::hotSumRange(TimeS t1, TimeS t2, Cursor *cursor) const
 {
-    const std::size_t start = (cursor && cursor->epoch == epoch_)
+    const std::size_t start = (cursor && cursor->epoch == epoch())
                                   ? lowerBound(t1, cursor->index)
                                   : lowerBound(t1);
     if (cursor) {
         cursor->index = start;
-        cursor->epoch = epoch_;
+        cursor->epoch = epoch();
     }
     double acc = 0.0;
     for (std::size_t i = start;
@@ -443,7 +422,7 @@ TimeSeries::sumRange(TimeS t1, TimeS t2, Cursor *cursor) const
         acc += exactSumRange(a, t2);
     if (cursor) {
         cursor->index = lowerBound(t1);
-        cursor->epoch = epoch_;
+        cursor->epoch = epoch();
     }
     return acc;
 }

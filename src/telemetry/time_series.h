@@ -13,8 +13,10 @@
  * a three-tier bounded store (docs/PERF.md "Retention tiers"):
  *
  *  - **hot ring**: the raw samples inside the retention bound, stored
- *    flat in `samples_` (so `samples()` and indexed access keep their
- *    meaning; eviction erases an aligned prefix in batches).
+ *    contiguously in `samples_` behind a head index (so `samples()`
+ *    and indexed access keep their meaning; eviction advances the head
+ *    past an aligned prefix in batches, and the dead prefix is
+ *    compacted away only when a push finds the storage full).
  *  - **cold blocks**: evicted spans sealed into delta-of-delta /
  *    XOR-compressed blocks (block.h) — still lossless; queries decode
  *    them transparently, so every interval query is bit-identical to
@@ -34,7 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
+#include <span>
 
 #include "telemetry/block.h"
 #include "telemetry/retention.h"
@@ -78,8 +80,27 @@ class TimeSeries
     /** True when a retention bound is configured. */
     bool bounded() const { return retention_.bounded(); }
 
-    /** Append a sample; timestamps must be non-decreasing. */
-    void append(TimeS time_s, double value);
+    /**
+     * Append a sample; timestamps must be non-decreasing. Inline, with
+     * the O(1) seal test: the ring push, the hour-bucket update and
+     * the test are the whole per-append cost until a seal is due.
+     */
+    void
+    append(TimeS time_s, double value)
+    {
+        if (!samples_.empty() && time_s < samples_.back().time_s)
+            outOfOrder();
+        samples_.push_back(Sample{time_s, value});
+        ++total_appends_;
+        if (!retention_.bounded())
+            return;
+        // The minute tier is folded as cold blocks retire
+        // (retireCold); the hour tier stays per-append because its
+        // buckets straddle seal cuts.
+        hour_.record(time_s, value);
+        if (sealDue())
+            maybeSeal();
+    }
 
     /**
      * Pre-size the raw sample storage for n total samples: an
@@ -103,8 +124,15 @@ class TimeSeries
     /** True when the series has never been written. */
     bool empty() const { return total_appends_ == 0; }
 
-    /** Read-only access to the hot ring (oldest retained raw first). */
-    const std::vector<Sample> &samples() const { return samples_; }
+    /**
+     * Read-only view of the hot ring, oldest retained raw sample
+     * first. The view is invalidated by the next append.
+     */
+    std::span<const Sample>
+    samples() const
+    {
+        return {samples_.data(), samples_.size()};
+    }
 
     /** Most recent value; 0 when empty. */
     double last() const;
@@ -163,8 +191,16 @@ class TimeSeries
     // Retention diagnostics (tests, benches, memory budgeting).
     // ------------------------------------------------------------------
 
-    /** Ring epoch: bumped on every eviction batch (cursor checks). */
-    std::uint64_t epoch() const { return epoch_; }
+    /**
+     * Ring epoch for cursor checks: the number of samples evicted from
+     * the hot ring so far. 0 until the first seal, and it changes on
+     * every seal, since each one evicts at least one sample.
+     */
+    std::uint64_t
+    epoch() const
+    {
+        return total_appends_ - samples_.size();
+    }
 
     /** Samples ever appended (across all tiers and evictions). */
     std::uint64_t totalAppends() const { return total_appends_; }
@@ -196,6 +232,26 @@ class TimeSeries
     std::size_t memoryBytes() const;
 
   private:
+    /**
+     * True when a whole batch has aged out of the bound, decided in
+     * O(1): the count bound keeps from n - max_samples, and since
+     * times are monotone, lowerBound(newest - window_s) >= seal_batch
+     * iff sample seal_batch-1 is older than the window.
+     */
+    bool
+    sealDue() const
+    {
+        const std::size_t n = samples_.size();
+        const std::size_t batch = retention_.seal_batch;
+        if (retention_.max_samples > 0 &&
+            n >= retention_.max_samples + batch)
+            return true;
+        return retention_.window_s > 0 && n >= batch &&
+               samples_[batch - 1].time_s <
+                   samples_.back().time_s - retention_.window_s;
+    }
+
+    [[noreturn]] static void outOfOrder();
     void maybeSeal();
     void sealPrefix(std::size_t seal_n, TimeS cut);
     void retireCold();
@@ -223,10 +279,11 @@ class TimeSeries
     /** Start of the minute tier's coverage (the rollup seam). */
     TimeS minuteStart() const;
 
-    std::vector<Sample> samples_; ///< hot ring (flat, oldest first)
+    /** Hot ring, oldest first. Compacts on any dead prefix, so its
+     *  capacity never exceeds that of a vector erased at the front. */
+    TierQueue<Sample, /*kCompactAnyDead=*/true> samples_;
     RetentionConfig retention_;
 
-    std::uint64_t epoch_ = 0;
     std::uint64_t total_appends_ = 0;
 
     /** Sealed cold spans, oldest first; spans tile [start,end) cuts. */

@@ -44,18 +44,16 @@ TsDatabase::findSeries(const std::string &measurement,
 }
 
 void
-TsDatabase::append(SeriesId id, TimeS time_s, double value)
+TsDatabase::invalidId(const char *who)
 {
-    if (id < 0 || static_cast<std::size_t>(id) >= slab_.size())
-        fatal("TsDatabase::append: invalid series id");
-    slab_[static_cast<std::size_t>(id)].append(time_s, value);
+    fatal(std::string(who) + ": invalid series id");
 }
 
 const TimeSeries &
 TsDatabase::series(SeriesId id) const
 {
     if (id < 0 || static_cast<std::size_t>(id) >= slab_.size())
-        fatal("TsDatabase::series: invalid series id");
+        invalidId("TsDatabase::series");
     return slab_[static_cast<std::size_t>(id)];
 }
 
@@ -63,7 +61,7 @@ void
 TsDatabase::reserve(SeriesId id, std::size_t n)
 {
     if (id < 0 || static_cast<std::size_t>(id) >= slab_.size())
-        fatal("TsDatabase::reserve: invalid series id");
+        invalidId("TsDatabase::reserve");
     slab_[static_cast<std::size_t>(id)].reserve(n);
 }
 

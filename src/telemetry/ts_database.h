@@ -10,8 +10,9 @@
  * Storage layout (the telemetry hot path, see docs/PERF.md): series
  * live in a dense **slab** addressed by a SeriesId. The string pair is
  * *interned* to an id exactly once (intern()/findSeries()); every
- * append after that is an indexed, allocation-free, string-free
- * vector push. The string-keyed write()/series() surface remains as a
+ * append after that is an inline, indexed, string-free push into the
+ * series' hot ring, allocation-free once the ring is at its steady
+ * size. The string-keyed write()/series() surface remains as a
  * thin compat shim — resolve, then delegate — with bit-identical
  * results, so seed-era callers and tests observe no change. The slab
  * is a deque: interning a new series never moves existing ones, so
@@ -108,11 +109,18 @@ class TsDatabase
 
     /**
      * Append a sample to an interned series: a bounds check plus an
-     * indexed vector push — no string compares, no allocation beyond
-     * amortized sample growth (none at all after reserve()).
-     * Fatal on an invalid id (e.g. one held across clear()).
+     * indexed TimeSeries::append, both inline — no string compares,
+     * no allocation beyond amortized ring growth (none at all after
+     * reserve()). Fatal on an invalid id (e.g. one held across
+     * clear()).
      */
-    void append(SeriesId id, TimeS time_s, double value);
+    void
+    append(SeriesId id, TimeS time_s, double value)
+    {
+        if (id < 0 || static_cast<std::size_t>(id) >= slab_.size())
+            invalidId("TsDatabase::append");
+        slab_[static_cast<std::size_t>(id)].append(time_s, value);
+    }
 
     /** Indexed series lookup (fatal on an invalid id). */
     const TimeSeries &series(SeriesId id) const;
@@ -149,6 +157,9 @@ class TsDatabase
     void clear();
 
   private:
+    /** Fatal: `who` was handed an id this database never issued. */
+    [[noreturn]] static void invalidId(const char *who);
+
     /** Sorted intern table: key -> slab index. */
     std::map<Key, SeriesId> index_;
     /**

@@ -411,7 +411,7 @@ TEST(Retention, SealFiresExactlyWhenABatchHasAgedOut)
         for (int i = 0; i < 3000; ++i) {
             t += static_cast<TimeS>(
                 rng.uniform(0.0, static_cast<double>(max_dt) + 1.0));
-            const std::vector<Sample> &ring = s.samples();
+            const auto ring = s.samples();
             const std::size_t n = ring.size() + 1;
             std::size_t keep_from = 0;
             if (cfg.max_samples > 0 && n > cfg.max_samples)
@@ -501,6 +501,49 @@ TEST(Retention, UnsealedBoundedSeriesHoldsNoColdOrMinuteStorage)
     EXPECT_EQ(s.memoryBytes(), sizeof(TimeSeries) +
                                    s.capacity() * sizeof(Sample) +
                                    s.hourTier().memoryBytes());
+}
+
+/** A count-bounded ring reserved at its steady size (what
+ *  EcovisorOptions::expected_ticks does) keeps exactly that capacity
+ *  through every seal: the ring compacts away its dead prefix rather
+ *  than growing, so it never holds more than a vector erased at the
+ *  front would. */
+TEST(Retention, CountBoundedRingKeepsReservedCapacity)
+{
+    RetentionConfig cfg;
+    cfg.max_samples = 1000;
+    cfg.seal_batch = 64;
+    TimeSeries s;
+    s.setRetention(cfg);
+    s.reserve(1000000);
+    const std::size_t steady = cfg.max_samples + cfg.seal_batch;
+    ASSERT_EQ(s.capacity(), steady);
+    int seals = 0;
+    std::uint64_t epoch = 0;
+    for (TimeS t = 0; seals < 24; t += 60) {
+        s.append(t, 1.0);
+        if (s.epoch() != epoch) {
+            ++seals;
+            epoch = s.epoch();
+        }
+        ASSERT_EQ(s.capacity(), steady) << "t=" << t;
+        ASSERT_LE(s.size(), steady);
+    }
+}
+
+/** A one-day window at 60 s ticks holds ~1.5k samples; the ring's
+ *  vector grows by doubling to 2048 and stays there. */
+TEST(Retention, DayWindowRingStaysWithin2048Samples)
+{
+    RetentionConfig cfg;
+    cfg.window_s = 86400;
+    TimeSeries s;
+    s.setRetention(cfg);
+    for (int i = 0; i < 4 * 1440; ++i) {
+        s.append(static_cast<TimeS>(i) * 60, 1.0);
+        ASSERT_LE(s.capacity(), 2048u) << "i=" << i;
+    }
+    EXPECT_GT(s.epoch(), 0u);
 }
 
 /** Empty tiers allocate nothing: interning a bounded series and
