@@ -212,10 +212,9 @@ runTelemetry(const ScenarioOptions &opt)
     TextTable t({"tenants", "carbon_g", "series", "samples",
                  "tps_seriesid", "tps_strings", "speedup"});
     for (int tenants : {16, 64, 256}) {
-        // SeriesId fast path, pre-sized from the known horizon.
+        // SeriesId fast path: one frame row per tick.
         core::EcovisorOptions fast;
         fast.record_telemetry = true;
-        fast.expected_ticks = ticks;
         World wf(tenants, fast);
         std::int64_t churn_events = 0;
         const double wall_fast =

@@ -75,24 +75,21 @@ Ecovisor::Ecovisor(cop::Cluster *cluster,
     }
 
     // Pre-intern the global series: recording them is then a pure
-    // indexed append. Interned-but-unwritten series are invisible to
+    // indexed put. Interned-but-unwritten series are invisible to
     // the query surface, so doing this even with record_telemetry
     // off changes nothing observable.
-    s_grid_carbon_ = db_.intern("grid_carbon", "");
-    s_solar_w_ = db_.intern("solar_w", "");
-    s_cluster_power_ = db_.intern("cluster_power_w", "");
-    reserveExpected(s_grid_carbon_);
-    reserveExpected(s_solar_w_);
-    reserveExpected(s_cluster_power_);
+    s_grid_carbon_ = internSeries("grid_carbon", "");
+    s_solar_w_ = internSeries("solar_w", "");
+    s_cluster_power_ = internSeries("cluster_power_w", "");
 }
 
-void
-Ecovisor::reserveExpected(ts::SeriesId id)
+ts::SeriesId
+Ecovisor::internSeries(std::string_view measurement, std::string_view tag)
 {
-    const std::int64_t remaining =
-        options_.expected_ticks - settled_ticks_;
-    if (remaining > 0)
-        db_.reserve(id, static_cast<std::size_t>(remaining));
+    const ts::SeriesId id = db_.intern(measurement, tag);
+    if (!options_.telemetry_via_strings)
+        db_.join(id);
+    return id;
 }
 
 // ---------------------------------------------------------------------
@@ -190,19 +187,14 @@ Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
     // one-time setup path) so per-tick recording never touches a
     // string key. BattSoc is interned even without a battery share —
     // it just stays empty, which the query surface hides.
-    st.series.power = db_.intern("app_power_w", app);
-    st.series.grid = db_.intern("app_grid_w", app);
-    st.series.solar_used = db_.intern("app_solar_used_w", app);
-    st.series.batt_discharge = db_.intern("app_batt_discharge_w", app);
-    st.series.batt_charge = db_.intern("app_batt_charge_w", app);
-    st.series.carbon = db_.intern("app_carbon_g", app);
-    st.series.soc = db_.intern("app_batt_soc", app);
-    st.series.containers = db_.intern("app_containers", app);
-    for (ts::SeriesId id :
-         {st.series.power, st.series.grid, st.series.solar_used,
-          st.series.batt_discharge, st.series.batt_charge,
-          st.series.carbon, st.series.soc, st.series.containers})
-        reserveExpected(id);
+    st.series.power = internSeries("app_power_w", app);
+    st.series.grid = internSeries("app_grid_w", app);
+    st.series.solar_used = internSeries("app_solar_used_w", app);
+    st.series.batt_discharge = internSeries("app_batt_discharge_w", app);
+    st.series.batt_charge = internSeries("app_batt_charge_w", app);
+    st.series.carbon = internSeries("app_carbon_g", app);
+    st.series.soc = internSeries("app_batt_soc", app);
+    st.series.containers = internSeries("app_containers", app);
 
     const auto idx = static_cast<std::int32_t>(apps_.size());
     apps_.push_back(std::move(st));
@@ -953,8 +945,6 @@ Ecovisor::settleTick(TimeS start_s, TimeS dt_s)
 
     if (options_.record_telemetry)
         recordTelemetry(start_s);
-    // After recording: a series interned during tick k still has all
-    // expected_ticks - k of its appends ahead of it.
     ++settled_ticks_;
 }
 
@@ -1000,8 +990,6 @@ Ecovisor::restoreState(const EcovisorImage &image)
     if (!apps_.empty())
         fatal("Ecovisor::restoreState: apps already registered "
               "(restore targets a fresh instance)");
-    // settled_ticks_ first: reserveExpected sizes each re-interned
-    // series for the horizon still ahead, not the whole run.
     settled_ticks_ = image.settled_ticks;
     for (const EcovisorImage::AppImage &ai : image.apps) {
         auto r = tryAddApp(ai.name, ai.share);
@@ -1050,29 +1038,26 @@ Ecovisor::ensureContainerSeries(const cop::Container &c,
     // the one place the per-container string key is ever built —
     // once per container lifetime, not per tick.
     const std::string tag = std::to_string(c.id);
-    cache.power = db_.intern("container_power_w", tag);
-    cache.carbon = db_.intern("container_carbon_g", tag);
+    cache.power = internSeries("container_power_w", tag);
+    cache.carbon = internSeries("container_carbon_g", tag);
     cache.generation = generation;
-    reserveExpected(static_cast<ts::SeriesId>(cache.power));
-    reserveExpected(static_cast<ts::SeriesId>(cache.carbon));
 }
 
 void
-Ecovisor::recordApp(const AppState &st, TimeS start_s)
+Ecovisor::recordApp(const AppState &st)
 {
     const auto &s = st.ves->lastSettlement();
-    db_.append(st.series.power, start_s, s.demand_w);
-    db_.append(st.series.grid, start_s, s.grid_w);
-    db_.append(st.series.solar_used, start_s, s.solar_used_w);
-    db_.append(st.series.batt_discharge, start_s, s.batt_discharge_w);
-    db_.append(st.series.batt_charge, start_s,
-               s.batt_charge_solar_w + s.batt_charge_grid_w);
-    db_.append(st.series.carbon, start_s, s.carbon_g);
+    db_.put(st.series.power, s.demand_w);
+    db_.put(st.series.grid, s.grid_w);
+    db_.put(st.series.solar_used, s.solar_used_w);
+    db_.put(st.series.batt_discharge, s.batt_discharge_w);
+    db_.put(st.series.batt_charge,
+            s.batt_charge_solar_w + s.batt_charge_grid_w);
+    db_.put(st.series.carbon, s.carbon_g);
     if (st.ves->hasBattery())
-        db_.append(st.series.soc, start_s, st.ves->battery().soc());
-    db_.append(st.series.containers, start_s,
-               static_cast<double>(
-                   cluster_->appContainerCount(st.cop_app)));
+        db_.put(st.series.soc, st.ves->battery().soc());
+    db_.put(st.series.containers,
+            static_cast<double>(cluster_->appContainerCount(st.cop_app)));
 
     // Per-container power and attributed carbon: the container's
     // carbon share is proportional to its share of app demand
@@ -1085,9 +1070,9 @@ Ecovisor::recordApp(const AppState &st, TimeS start_s)
             const cop::SlotSeriesCache &cache =
                 cluster_->seriesCache(slot);
             double p_w = cluster_->containerPowerW(c);
-            db_.append(cache.power, start_s, p_w);
+            db_.put(cache.power, p_w);
             double share = s.demand_w > 1e-12 ? p_w / s.demand_w : 0.0;
-            db_.append(cache.carbon, start_s, s.carbon_g * share);
+            db_.put(cache.carbon, s.carbon_g * share);
         });
 }
 
@@ -1101,17 +1086,20 @@ Ecovisor::recordTelemetry(TimeS start_s)
         return;
     }
 
-    // Globals are cross-app state: always sequential, before the
-    // shards start.
-    db_.append(s_grid_carbon_, start_s, phys_->gridCarbonAt(start_s));
-    db_.append(s_solar_w_, start_s, phys_->solarPowerAt(start_s));
-    db_.append(s_cluster_power_, start_s, cluster_->totalPowerW());
+    // One frame row per tick: the row's time is stored once for every
+    // series. Globals are cross-app state: always sequential, before
+    // the shards start.
+    db_.beginRow(start_s);
+    db_.put(s_grid_carbon_, phys_->gridCarbonAt(start_s));
+    db_.put(s_solar_w_, phys_->solarPowerAt(start_s));
+    db_.put(s_cluster_power_, cluster_->totalPowerW());
 
-    // Sequential resolve pass: intern series for any container that
-    // appeared (or whose slot was recycled) since its last recorded
-    // tick. Interning mutates the shared store, so it must finish
-    // before the shards run; in steady state this pass is a
-    // generation compare per live container and nothing else.
+    // Sequential resolve pass: intern and join series for any
+    // container that appeared (or whose slot was recycled) since its
+    // last recorded tick. Joining gives the series a column of the
+    // frame, which mutates the shared store, so it must finish before
+    // the shards run; in steady state this pass is a generation
+    // compare per live container and nothing else.
     for (AppState *stp : settle_order_)
         cluster_->forEachAppContainerSlot(
             stp->cop_app, [&](const cop::Container &c,
@@ -1119,13 +1107,15 @@ Ecovisor::recordTelemetry(TimeS start_s)
                 ensureContainerSeries(c, slot);
             });
 
-    // Per-app appends, sharded exactly like settlement: each app's
+    // Per-app puts, sharded exactly like settlement: each app's
     // series set is disjoint (per-app series plus its own containers'
-    // series), every series takes exactly one append per tick, and
-    // ticks are sequential — so append order within every series is
-    // independent of the shard count and results are bit-identical
-    // at any ECOV_THREADS value.
-    runSharded([&](AppState &st) { recordApp(st, start_s); });
+    // series), so the shards write disjoint columns of the row, and
+    // endRow (sequential) then ends the columns of destroyed
+    // containers and runs due seals in column order — so the store
+    // is independent of the shard count and bit-identical at any
+    // ECOV_THREADS value.
+    runSharded([&](AppState &st) { recordApp(st); });
+    db_.endRow();
 }
 
 void

@@ -89,16 +89,6 @@ struct EcovisorOptions
      */
     int threads = 0;
     /**
-     * Expected simulation length in ticks. When positive, every
-     * telemetry series is pre-sized for that many samples at intern
-     * time, eliminating repeated vector growth reallocation across
-     * long runs. 0 (default) reserves nothing. Purely a capacity
-     * hint: recorded values are unchanged, and on a retention-bounded
-     * series (below) the reservation is capped at the retention bound
-     * (see docs/PERF.md "Retention tiers").
-     */
-    std::int64_t expected_ticks = 0;
-    /**
      * Raw telemetry samples retained per series; 0 (default) keeps
      * everything — the seed's unbounded append-only behavior, bit-
      * identical. When positive (and/or retention_window_s is set),
@@ -552,10 +542,11 @@ class Ecovisor
     void applyPowercaps();
 
     /**
-     * Record the tick into the telemetry store. Globals and the
-     * sequential id-resolution pass run first; the per-app appends
-     * are then sharded over the worker pool (each app's series set is
-     * disjoint, every series receives exactly one append per tick, so
+     * Record the tick into the telemetry store as one frame row.
+     * Globals and the sequential id-resolution pass (which joins new
+     * containers' series) run first; the per-app puts are then
+     * sharded over the worker pool (each app's series set is
+     * disjoint, so each shard writes disjoint columns of the row, and
      * results are bit-identical at any thread count — the settleTick
      * contract).
      */
@@ -564,8 +555,8 @@ class Ecovisor
     /** The seed's string-keyed path (telemetry_via_strings). */
     void recordTelemetryStrings(TimeS start_s);
 
-    /** Per-app appends for one tick (shardable, app-local only). */
-    void recordApp(const AppState &st, TimeS start_s);
+    /** Per-app puts for one tick (shardable, app-local only). */
+    void recordApp(const AppState &st);
 
     /**
      * Ensure the slot's container series ids are interned and cached
@@ -576,11 +567,11 @@ class Ecovisor
                                std::int32_t slot);
 
     /**
-     * Pre-size a series for the ticks still ahead of the horizon
-     * hint (expected_ticks minus ticks already settled — a series
-     * interned mid-run can never fill more). No-op without a hint.
+     * Intern a series and, on the row path, make it a column of the
+     * telemetry frame (TsDatabase::join). Sequential only.
      */
-    void reserveExpected(ts::SeriesId id);
+    ts::SeriesId internSeries(std::string_view measurement,
+                              std::string_view tag);
 
     /**
      * Run fn(AppState &) for every app in settle_order_ (canonical
@@ -690,7 +681,7 @@ class Ecovisor
     ts::SeriesId s_cluster_power_ = ts::kInvalidSeries;
     TimeS last_settled_s_ = -1;
     TimeS last_dt_s_ = 0;
-    /** Ticks settled so far (remaining-horizon reserve sizing). */
+    /** Ticks settled so far (checkpointed with the image). */
     std::int64_t settled_ticks_ = 0;
     TimeS now_hint_s_ = -1;
     double net_metered_wh_ = 0.0;

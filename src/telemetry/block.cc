@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -102,33 +103,51 @@ getXor(const std::vector<std::uint8_t> &in, std::size_t *pos)
 
 } // namespace
 
+BlockEncoder::BlockEncoder(TimeS start_cut_s, TimeS end_cut_s)
+{
+    b_.start_cut_s = start_cut_s;
+    b_.end_cut_s = end_cut_s;
+    // Room for a typical batch (a few bytes per sample), so the
+    // payload is allocated about twice: here and at finish().
+    b_.payload.reserve(256);
+}
+
+void
+BlockEncoder::add(TimeS time_s, double value)
+{
+    const std::uint64_t bits = bitsOf(value);
+    if (b_.count == 0) {
+        b_.first_time_s = time_s;
+        b_.first_value = value;
+    } else {
+        const TimeS delta = time_s - b_.last_time_s;
+        putVarint(&b_.payload, zigzag(delta - prev_delta_));
+        prev_delta_ = delta;
+        putXor(&b_.payload, bits ^ prev_bits_);
+    }
+    prev_bits_ = bits;
+    b_.last_time_s = time_s;
+    b_.last_value = value;
+    ++b_.count;
+}
+
+SealedBlock
+BlockEncoder::finish()
+{
+    if (b_.count == 0)
+        fatal("sealBlock: empty span");
+    b_.payload.shrink_to_fit();
+    return std::move(b_);
+}
+
 SealedBlock
 sealBlock(const Sample *samples, std::size_t count, TimeS start_cut_s,
           TimeS end_cut_s)
 {
-    if (count == 0)
-        fatal("sealBlock: empty span");
-    SealedBlock b;
-    b.start_cut_s = start_cut_s;
-    b.end_cut_s = end_cut_s;
-    b.first_time_s = samples[0].time_s;
-    b.last_time_s = samples[count - 1].time_s;
-    b.first_value = samples[0].value;
-    b.last_value = samples[count - 1].value;
-    b.count = static_cast<std::uint32_t>(count);
-
-    TimeS prev_delta = 0;
-    std::uint64_t prev_bits = bitsOf(samples[0].value);
-    for (std::size_t i = 1; i < count; ++i) {
-        const TimeS delta = samples[i].time_s - samples[i - 1].time_s;
-        putVarint(&b.payload, zigzag(delta - prev_delta));
-        prev_delta = delta;
-        const std::uint64_t bits = bitsOf(samples[i].value);
-        putXor(&b.payload, bits ^ prev_bits);
-        prev_bits = bits;
-    }
-    b.payload.shrink_to_fit();
-    return b;
+    BlockEncoder enc(start_cut_s, end_cut_s);
+    for (std::size_t i = 0; i < count; ++i)
+        enc.add(samples[i].time_s, samples[i].value);
+    return enc.finish();
 }
 
 bool

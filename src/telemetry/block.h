@@ -49,6 +49,27 @@ struct SealedBlock
 };
 
 /**
+ * Incremental sealer: add() the span's samples in order, then
+ * finish(). Lets a span be sealed straight out of frame columns.
+ */
+class BlockEncoder
+{
+  public:
+    BlockEncoder(TimeS start_cut_s, TimeS end_cut_s);
+
+    /** Append the next sample (timestamps non-decreasing). */
+    void add(TimeS time_s, double value);
+
+    /** The sealed block; fatal when nothing was added. */
+    SealedBlock finish();
+
+  private:
+    SealedBlock b_;
+    TimeS prev_delta_ = 0;
+    std::uint64_t prev_bits_ = 0;
+};
+
+/**
  * Seal `count` samples (count >= 1, non-decreasing timestamps, all
  * within [start_cut_s, end_cut_s)) into a block. Fatal on an empty
  * span — the caller owns batching.

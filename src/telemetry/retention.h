@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -108,37 +107,25 @@ alignUp(TimeS t, TimeS width)
 
 /**
  * FIFO storage for one retention tier: a vector plus a head index.
- * pop_front()/dropFront() advance the head; the dead prefix is
- * compacted away only when a push finds the vector full. Unlike
- * std::deque, an empty queue allocates nothing until its first push.
- *
- * Two compaction rules, chosen by `kCompactAnyDead`:
- *  - false (cold blocks, rollup buckets): compact when at least an
- *    eighth of the vector is dead. Each compaction moves at most seven
- *    live elements per pop since the last one, so pops stay amortized
- *    O(1) however few elements each drop removes, and the vector only
- *    grows when it is 7/8 live.
- *  - true (the hot ring): compact when any prefix is dead. The vector
- *    then grows exactly when a vector erased at the front would, so
- *    the ring's capacity never exceeds that of the flat layout (a
- *    count-bounded ring reserved at its steady size stays there).
- *    A compaction moves the live ring once, which the erase it
- *    replaces did on every seal; with spare capacity it happens
- *    once per several seals.
+ * pop_front() advances the head; the dead prefix is compacted away
+ * only when a push finds the vector full and at least an eighth of it
+ * is dead. Each compaction then moves at most seven live elements per
+ * pop since the last one, so pops stay amortized O(1), and the vector
+ * only grows when it is 7/8 live. Unlike std::deque, an empty queue
+ * allocates nothing until its first push.
  */
-template <typename T, bool kCompactAnyDead = false>
+template <typename T>
 class TierQueue
 {
   public:
     bool empty() const { return head_ == items_.size(); }
     std::size_t size() const { return items_.size() - head_; }
     std::size_t capacity() const { return items_.capacity(); }
-    void reserve(std::size_t n) { items_.reserve(head_ + n); }
 
-    const T *data() const { return items_.data() + head_; }
-    const T *begin() const { return data(); }
+    const T *begin() const { return items_.data() + head_; }
     const T *end() const { return items_.data() + items_.size(); }
     const T &operator[](std::size_t i) const { return items_[head_ + i]; }
+    T &operator[](std::size_t i) { return items_[head_ + i]; }
     const T &front() const { return items_[head_]; }
     const T &back() const { return items_.back(); }
     T &back() { return items_.back(); }
@@ -147,31 +134,19 @@ class TierQueue
     push_back(T v)
     {
         if (items_.size() == items_.capacity() && head_ > 0 &&
-            (kCompactAnyDead || 8 * head_ >= items_.size()))
+            8 * head_ >= items_.size())
             compact();
         items_.push_back(std::move(v));
     }
 
-    /** Release the oldest element (its resources too) and advance. */
-    void
+    /** Remove the oldest element and hand it back. */
+    T
     pop_front()
     {
-        items_[head_++] = T{};
+        T v = std::move(items_[head_++]);
         if (head_ == items_.size())
             clear();
-    }
-
-    /**
-     * Drop the n oldest elements by advancing the head alone; only
-     * for trivially destructible T, which holds nothing to release.
-     */
-    void
-    dropFront(std::size_t n)
-    {
-        static_assert(std::is_trivially_destructible_v<T>);
-        head_ += n;
-        if (head_ == items_.size())
-            clear();
+        return v;
     }
 
   private:
@@ -250,27 +225,49 @@ class RollupTier
         return buckets_.empty() ? 0 : buckets_.back().start_s;
     }
 
+    /** Fold one appended sample in (timestamps non-decreasing). */
+    void record(TimeS t, double v) { recordRun(&t, &v, 1); }
+
     /**
-     * Fold one appended sample in (timestamps non-decreasing). Inline:
-     * at 60 s ticks the hour tier updates its open bucket in place on
-     * 59 of 60 appends. Since t never precedes the newest bucket's
-     * start, "same bucket" is a subtraction, not an alignDown().
+     * Fold n samples in, in order. Inline: at 60 s ticks the hour tier
+     * updates its open bucket in place on 59 of 60 samples, with the
+     * bucket's fields kept in registers while the samples stay in it.
+     * Since t never precedes the newest bucket's start, "same bucket"
+     * is a subtraction, not an alignDown().
      */
     void
-    record(TimeS t, double v)
+    recordRun(const TimeS *t, const double *v, std::size_t n)
     {
-        if (buckets_.empty() || t - buckets_.back().start_s >= width_s_) {
-            openBucket(t, v);
-        } else {
+        std::size_t i = 0;
+        while (i < n) {
+            if (buckets_.empty() ||
+                t[i] - buckets_.back().start_s >= width_s_) {
+                openBucket(t[i], v[i]);
+                frontier_ = t[i];
+                carry_ = v[i];
+                ++i;
+                continue;
+            }
             RollupBucket &b = buckets_.back();
-            b.integral_vs += carry_ * static_cast<double>(t - frontier_);
-            b.sum += v;
-            if (v > b.max)
-                b.max = v;
-            b.last = v;
+            const TimeS end = b.start_s + width_s_;
+            double integral = b.integral_vs, sum = b.sum, max = b.max;
+            double carry = carry_;
+            TimeS frontier = frontier_;
+            for (; i < n && t[i] < end; ++i) {
+                integral += carry * static_cast<double>(t[i] - frontier);
+                sum += v[i];
+                if (v[i] > max)
+                    max = v[i];
+                frontier = t[i];
+                carry = v[i];
+            }
+            b.integral_vs = integral;
+            b.sum = sum;
+            b.max = max;
+            b.last = carry;
+            frontier_ = frontier;
+            carry_ = carry;
         }
-        frontier_ = t;
-        carry_ = v;
     }
 
     /**

@@ -8,13 +8,6 @@ namespace ecov::ts {
 
 namespace {
 
-/** The comparator shared by every lower-bound search. */
-inline bool
-sampleBefore(const Sample &s, TimeS v)
-{
-    return s.time_s < v;
-}
-
 /** Seal cuts are minute-aligned so tiers tile on bucket seams. */
 constexpr TimeS kCutAlignS = 60;
 
@@ -23,10 +16,16 @@ constexpr TimeS kCutAlignS = 60;
 static_assert(sizeof(TimeSeries) <= 256,
               "two series per 512-byte slab node (TsDatabase)");
 
+TimeSeries::~TimeSeries()
+{
+    if (owns_)
+        delete frame_;
+}
+
 void
 TimeSeries::setRetention(const RetentionConfig &config)
 {
-    if (total_appends_ > 0)
+    if (!empty())
         fatal("TimeSeries::setRetention: series already holds samples "
               "(retention must be configured before the first append)");
     retention_ = config;
@@ -50,6 +49,76 @@ TimeSeries::outOfOrder()
 }
 
 void
+TimeSeries::makePrivate()
+{
+    auto *own = new Frame;
+    if (frame_) {
+        // An ended shared column: its hour tier catches up first,
+        // then its rows move, renumbered from 0.
+        foldHour(end_);
+        std::int64_t left = end_ - first_;
+        frame_->forRuns(col_, first_, end_, [&](const TimeS *t,
+                                                const double *v,
+                                                std::size_t n) {
+            for (std::size_t i = 0; i < n; ++i, --left) {
+                if (own->rows() % kChunkRows == 0) {
+                    // Size each chunk to the rows it will hold.
+                    const auto rows = static_cast<std::size_t>(
+                        std::min(kChunkRows, left));
+                    FrameChunk &c = own->pushChunk();
+                    c.time.reserve(rows);
+                    c.values.reserve(rows);
+                }
+                own->append(t[i], v[i]);
+            }
+            return true;
+        });
+        born_ -= first_;
+    }
+    frame_ = own;
+    owns_ = true;
+    col_ = 0;
+    first_ = 0;
+    end_ = kOpen;
+}
+
+void
+TimeSeries::foldHour(std::int64_t row)
+{
+    if (!retention_.bounded() || folded_ >= row)
+        return;
+    frame_->forRuns(col_, folded_, row, [&](const TimeS *t, const double *v,
+                                            std::size_t n) {
+        hour_.recordRun(t, v, n);
+        return true;
+    });
+    folded_ = row;
+}
+
+RollupTier
+TimeSeries::hourTier() const
+{
+    RollupTier h = hour_;
+    if (!owns_ && frame_ && retention_.bounded())
+        frame_->forRuns(col_, folded_, end(), [&](const TimeS *t,
+                                                  const double *v,
+                                                  std::size_t n) {
+            h.recordRun(t, v, n);
+            return true;
+        });
+    return h;
+}
+
+std::size_t
+TimeSeries::coldSampleCount() const
+{
+    std::size_t n = 0;
+    for (const SealedBlock &blk : cold_)
+        n += blk.count;
+    return n;
+}
+
+void
 TimeSeries::maybeSeal()
 {
     // Runs once sealDue() saw the first index the bound wants to keep
@@ -57,8 +126,8 @@ TimeSeries::maybeSeal()
     // the two bounds. A pure function of the appended data and the
     // config — no wall clock, no allocator state — so eviction is
     // deterministic and thread-count independent.
-    const std::size_t n = samples_.size();
-    const TimeS newest = samples_.back().time_s;
+    const std::size_t n = size();
+    const TimeS newest = frame_->time(end() - 1);
     std::size_t keep_from = 0;
     if (retention_.max_samples > 0 && n > retention_.max_samples)
         keep_from = n - retention_.max_samples;
@@ -67,8 +136,9 @@ TimeSeries::maybeSeal()
             keep_from, lowerBound(newest - retention_.window_s));
     // Cut on a minute boundary at (or before) the first keeper, so
     // block seams land on rollup-bucket seams.
-    const TimeS cut =
-        alignDown(samples_[keep_from].time_s, kCutAlignS);
+    const TimeS cut = alignDown(
+        frame_->time(first_ + static_cast<std::int64_t>(keep_from)),
+        kCutAlignS);
     const std::size_t seal_n = lowerBound(cut);
     if (seal_n == 0)
         return;
@@ -85,13 +155,24 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
         !cold_.empty() ? cold_.back().end_cut_s
         : hasRetired()
             ? exact_since_s_
-            : alignDown(samples_.front().time_s, kCutAlignS);
-    cold_.push_back(
-        sealBlock(samples_.data(), seal_n, start_cut, cut));
-    cold_samples_ += seal_n;
-    // The ring base moves, and with it epoch(): outstanding index
+            : alignDown(frame_->time(first_), kCutAlignS);
+    const std::int64_t seal_end = first_ + static_cast<std::int64_t>(seal_n);
+    BlockEncoder enc(start_cut, cut);
+    frame_->forRuns(col_, first_, seal_end, [&](const TimeS *t,
+                                                const double *v,
+                                                std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            enc.add(t[i], v[i]);
+        return true;
+    });
+    cold_.push_back(enc.finish());
+    // The hot base moves, and with it epoch(): outstanding index
     // cursors are stale now.
-    samples_.dropFront(seal_n);
+    first_ = seal_end;
+    // A private frame retires the chunks now wholly sealed, keeping
+    // one as its next chunk; the database retires shared chunks.
+    while (owns_ && frame_->baseRow() + kChunkRows <= first_)
+        frame_->popFront();
     retireCold();
     dropRollups();
 }
@@ -99,7 +180,8 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
 void
 TimeSeries::retireCold()
 {
-    const TimeS newest = samples_.back().time_s;
+    const TimeS newest = frame_->time(end() - 1);
+    std::size_t cold_samples = coldSampleCount();
     while (!cold_.empty()) {
         const SealedBlock &front = cold_.front();
         bool retire;
@@ -109,7 +191,7 @@ TimeSeries::retireCold()
                 static_cast<double>(retention_.window_s));
             retire = front.end_cut_s <= newest - keep_behind;
         } else {
-            retire = cold_samples_ >
+            retire = cold_samples >
                      static_cast<std::size_t>(
                          retention_.cold_keep *
                          static_cast<double>(retention_.max_samples));
@@ -130,7 +212,7 @@ TimeSeries::retireCold()
         // its closing value, now the minute tier's carry, is the step
         // value for queries starting exactly at that boundary.
         exact_since_s_ = front.end_cut_s;
-        cold_samples_ -= front.count;
+        cold_samples -= front.count;
         cold_.pop_front();
     }
 }
@@ -138,13 +220,13 @@ TimeSeries::retireCold()
 void
 TimeSeries::dropRollups()
 {
-    const TimeS newest = samples_.back().time_s;
+    const TimeS newest = frame_->time(end() - 1);
     // Effective window for the keep multipliers: the configured
     // window, or the observed hot span under a pure count bound.
     TimeS w_eff = retention_.window_s;
     if (w_eff <= 0)
         w_eff = std::max<TimeS>(
-            newest - samples_.front().time_s, kCutAlignS);
+            newest - frame_->time(first_), kCutAlignS);
     // Hour-aligned drops for both tiers keep the hour->minute seam
     // clean: a surviving minute front never splits an hour bucket
     // that was itself dropped. Under a count bound w_eff can grow, so
@@ -163,76 +245,74 @@ TimeSeries::dropRollups()
         3600));
 }
 
-void
-TimeSeries::reserve(std::size_t n)
-{
-    // Once a span has been sealed the ring is at its steady retention
-    // size; re-reserving the full horizon would defeat the bound.
-    if (!cold_.empty() || hasRetired())
-        return;
-    if (retention_.bounded()) {
-        // A window bound alone says nothing about the cadence, so it
-        // cannot be turned into a sample count: let the ring grow
-        // (doubling stays under 2x its steady size).
-        if (retention_.max_samples == 0)
-            return;
-        n = std::min(n, retention_.max_samples + retention_.seal_batch);
-    }
-    samples_.reserve(n);
-}
-
 double
 TimeSeries::last() const
 {
-    // The hot ring never empties once written (sealing keeps >= 1).
-    return samples_.empty() ? 0.0 : samples_.back().value;
+    // The hot tier never empties once written (sealing keeps >= 1).
+    return size() == 0 ? 0.0 : frame_->value(col_, end() - 1);
+}
+
+std::int64_t
+TimeSeries::hotLowerBound(TimeS t) const
+{
+    if (size() == 0)
+        return first_;
+    // The frame's time column is monotone, so the answer within the
+    // hot rows is the frame-wide answer clamped to them.
+    return std::clamp(frame_->lowerBound(t), first_, end());
+}
+
+std::int64_t
+TimeSeries::hintedLowerBound(TimeS t, std::size_t hint) const
+{
+    // The hint, or the row after it (a window that advanced by one
+    // sample), when either is the answer.
+    const std::int64_t e = end();
+    const std::int64_t h =
+        first_ + static_cast<std::int64_t>(std::min(hint, size()));
+    for (const std::int64_t r : {h, std::min(h + 1, e)})
+        if ((r == first_ || frame_->time(r - 1) < t) &&
+            (r == e || frame_->time(r) >= t))
+            return r;
+    return hotLowerBound(t);
+}
+
+std::int64_t
+TimeSeries::queryLowerBound(TimeS t, const Cursor *cursor) const
+{
+    std::int64_t row;
+    if (size() > 0 && frame_->cachedLowerBound(t, &row))
+        return std::clamp(row, first_, end());
+    if (cursor && cursor->epoch == epoch())
+        return hintedLowerBound(t, cursor->index);
+    return hotLowerBound(t);
 }
 
 std::size_t
 TimeSeries::lowerBound(TimeS t) const
 {
-    auto it = std::lower_bound(samples_.begin(), samples_.end(), t,
-                               sampleBefore);
-    return static_cast<std::size_t>(it - samples_.begin());
+    return static_cast<std::size_t>(hotLowerBound(t) - first_);
 }
 
 std::size_t
 TimeSeries::lowerBound(TimeS t, std::size_t hint) const
 {
-    const std::size_t n = samples_.size();
-    if (hint > n)
-        hint = n;
-    // One comparison decides which side of the hint the answer lies
-    // on; the binary search then runs over that side only. Since
-    // std::lower_bound is deterministic and the answer is inside the
-    // chosen subrange, the result is identical to an unhinted search.
-    std::size_t lo = 0, hi = n;
-    if (hint < n && samples_[hint].time_s < t)
-        lo = hint + 1;
-    else
-        hi = hint;
-    auto it = std::lower_bound(samples_.begin() +
-                                   static_cast<std::ptrdiff_t>(lo),
-                               samples_.begin() +
-                                   static_cast<std::ptrdiff_t>(hi),
-                               t, sampleBefore);
-    return static_cast<std::size_t>(it - samples_.begin());
+    return static_cast<std::size_t>(hintedLowerBound(t, hint) - first_);
 }
 
 double
 TimeSeries::valueAt(TimeS t) const
 {
-    if (samples_.empty())
+    if (size() == 0)
         return 0.0;
-    if ((cold_.empty() && !hasRetired()) ||
-        t >= samples_.front().time_s) {
-        const std::size_t idx = lowerBound(t);
-        if (idx < samples_.size() && samples_[idx].time_s == t)
-            return samples_[idx].value;
-        if (idx == 0)
+    if ((cold_.empty() && !hasRetired()) || t >= frame_->time(first_)) {
+        const std::int64_t row = hotLowerBound(t);
+        if (row < end() && frame_->time(row) == t)
+            return frame_->value(col_, row);
+        if (row == first_)
             return cold_.empty() ? minute_.carry()
                                  : cold_.back().last_value;
-        return samples_[idx - 1].value;
+        return frame_->value(col_, row - 1);
     }
     if (t >= exact_since_s_) {
         // Exact region: the step value at t from the cold blocks,
@@ -267,6 +347,18 @@ TimeSeries::valueAt(TimeS t) const
     double v = minute_.valueAt(t, &known);
     if (known)
         return v;
+    // The hour tier's answer is the closing value of the last bucket
+    // starting at or before t: the last sample before the end of t's
+    // bucket. Rows not folded yet are newer than every folded one, so
+    // when one of them lies before that end, the newest such row is
+    // the answer.
+    if (!owns_ && folded_ < end()) {
+        const TimeS bucket_end = alignDown(t, hour_.width()) + hour_.width();
+        const std::int64_t row =
+            std::clamp(frame_->lowerBound(bucket_end), folded_, end());
+        if (row > folded_)
+            return frame_->value(col_, row - 1);
+    }
     v = hour_.valueAt(t, &known);
     return known ? v : 0.0;
 }
@@ -276,32 +368,39 @@ TimeSeries::hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
 {
     double acc = 0.0;
     TimeS cursor_t = t1;
-    // Walk sample boundaries inside (t1, t2). The hint is honored
-    // only when its epoch matches the ring's — a cursor from before
-    // an eviction batch self-resets to a full search instead of
-    // pointing at the wrong sample.
-    std::size_t idx = (cursor && cursor->epoch == epoch())
-                          ? lowerBound(t1, cursor->index)
-                          : lowerBound(t1);
+    // Walk sample boundaries inside (t1, t2).
+    const std::int64_t row = queryLowerBound(t1, cursor);
     if (cursor) {
-        cursor->index = idx;
+        cursor->index = static_cast<std::size_t>(row - first_);
         cursor->epoch = epoch();
     }
-    // Value in effect at t1: the previous sample's (or 0 before the
-    // first) — read straight from the index the search already found,
-    // instead of re-searching via valueAt(t1).
-    double current = idx > 0 ? samples_[idx - 1].value : 0.0;
-    if (idx < samples_.size() && samples_[idx].time_s == t1) {
-        current = samples_[idx].value;
-        ++idx;
-    }
-    while (idx < samples_.size() && samples_[idx].time_s < t2) {
-        acc += current *
-               static_cast<double>(samples_[idx].time_s - cursor_t);
-        cursor_t = samples_[idx].time_s;
-        current = samples_[idx].value;
-        ++idx;
-    }
+    // One walk from the row before the window: that row's value is
+    // the one in effect at t1 (0 before the first sample), and a row
+    // exactly at t1 replaces it — read on the way, not looked up.
+    double current = 0.0;
+    int phase = row > first_ ? 0 : 1; // 0: carry row, 1: t1 row, 2: walk
+    frame_->forRuns(col_, row > first_ ? row - 1 : row, end(),
+                    [&](const TimeS *t, const double *v, std::size_t n) {
+        std::size_t i = 0;
+        if (phase == 0) {
+            current = v[0];
+            i = 1;
+            phase = 1;
+        }
+        if (phase == 1 && i < n) {
+            if (t[i] == t1)
+                current = v[i++];
+            phase = 2;
+        }
+        for (; i < n; ++i) {
+            if (t[i] >= t2)
+                return false;
+            acc += current * static_cast<double>(t[i] - cursor_t);
+            cursor_t = t[i];
+            current = v[i];
+        }
+        return true;
+    });
     acc += current * static_cast<double>(t2 - cursor_t);
     return acc / kSecondsPerHour;
 }
@@ -309,12 +408,11 @@ TimeSeries::hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
 double
 TimeSeries::integrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
 {
-    if (t2 <= t1 || samples_.empty())
+    if (t2 <= t1 || size() == 0)
         return 0.0;
-    // Window entirely inside the hot ring (or nothing ever evicted):
+    // Window entirely inside the hot tier (or nothing ever evicted):
     // the legacy flat scan, bit-identical to the unbounded series.
-    if ((cold_.empty() && !hasRetired()) ||
-        t1 >= samples_.front().time_s)
+    if ((cold_.empty() && !hasRetired()) || t1 >= frame_->time(first_))
         return hotIntegrateWh(t1, t2, cursor);
     double acc_vs = 0.0;
     TimeS a = t1;
@@ -345,22 +443,26 @@ TimeSeries::exactIntegrateVs(TimeS a, TimeS b) const
     bool at_start = true;
     bool stopped = false;
 
-    auto consume = [&](const Sample &s) {
-        if (s.time_s >= b) {
+    auto consume = [&](TimeS time_s, double value) {
+        if (time_s < a) {
+            current = value;
+            return;
+        }
+        if (time_s >= b) {
             stopped = true;
             return;
         }
-        if (at_start && s.time_s == a) {
+        if (at_start && time_s == a) {
             // The flat walk's exact-hit branch: a sample exactly at
             // the window start replaces the carried-in value.
-            current = s.value;
+            current = value;
             at_start = false;
             return;
         }
         at_start = false;
-        acc += current * static_cast<double>(s.time_s - cursor_t);
-        cursor_t = s.time_s;
-        current = s.value;
+        acc += current * static_cast<double>(time_s - cursor_t);
+        cursor_t = time_s;
+        current = value;
     };
 
     for (const SealedBlock &blk : cold_) {
@@ -372,21 +474,15 @@ TimeSeries::exactIntegrateVs(TimeS a, TimeS b) const
         }
         BlockCursor bc(blk);
         Sample s;
-        while (!stopped && bc.next(&s)) {
-            if (s.time_s < a) {
-                current = s.value;
-                continue;
-            }
-            consume(s);
-        }
+        while (!stopped && bc.next(&s))
+            consume(s.time_s, s.value);
     }
-    for (std::size_t i = 0; i < samples_.size() && !stopped; ++i) {
-        if (samples_[i].time_s < a) {
-            current = samples_[i].value;
-            continue;
-        }
-        consume(samples_[i]);
-    }
+    frame_->forRuns(col_, first_, end(), [&](const TimeS *t, const double *v,
+                                             std::size_t n) {
+        for (std::size_t i = 0; i < n && !stopped; ++i)
+            consume(t[i], v[i]);
+        return !stopped;
+    });
     acc += current * static_cast<double>(b - cursor_t);
     return acc;
 }
@@ -394,25 +490,31 @@ TimeSeries::exactIntegrateVs(TimeS a, TimeS b) const
 double
 TimeSeries::hotSumRange(TimeS t1, TimeS t2, Cursor *cursor) const
 {
-    const std::size_t start = (cursor && cursor->epoch == epoch())
-                                  ? lowerBound(t1, cursor->index)
-                                  : lowerBound(t1);
+    const std::int64_t start = queryLowerBound(t1, cursor);
     if (cursor) {
-        cursor->index = start;
+        cursor->index = static_cast<std::size_t>(start - first_);
         cursor->epoch = epoch();
     }
     double acc = 0.0;
-    for (std::size_t i = start;
-         i < samples_.size() && samples_[i].time_s < t2; ++i)
-        acc += samples_[i].value;
+    if (start == end())
+        return acc;
+    frame_->forRuns(col_, start, end(), [&](const TimeS *t, const double *v,
+                                            std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (t[i] >= t2)
+                return false;
+            acc += v[i];
+        }
+        return true;
+    });
     return acc;
 }
 
 double
 TimeSeries::sumRange(TimeS t1, TimeS t2, Cursor *cursor) const
 {
-    if (samples_.empty() || (cold_.empty() && !hasRetired()) ||
-        t1 >= samples_.front().time_s)
+    if (size() == 0 || (cold_.empty() && !hasRetired()) ||
+        t1 >= frame_->time(first_))
         return hotSumRange(t1, t2, cursor);
     double acc = 0.0;
     if (t1 < exact_since_s_)
@@ -446,13 +548,17 @@ TimeSeries::exactSumRange(TimeS a, TimeS b) const
             acc += s.value;
         }
     }
-    for (const Sample &s : samples_) {
-        if (s.time_s < a)
-            continue;
-        if (s.time_s >= b)
-            break;
-        acc += s.value;
-    }
+    frame_->forRuns(col_, first_, end(), [&](const TimeS *t, const double *v,
+                                             std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (t[i] < a)
+                continue;
+            if (t[i] >= b)
+                return false;
+            acc += v[i];
+        }
+        return true;
+    });
     return acc;
 }
 
@@ -468,21 +574,26 @@ TimeSeries::averageOver(TimeS t1, TimeS t2) const
 double
 TimeSeries::maxRange(TimeS t1, TimeS t2) const
 {
-    if (samples_.empty() || (cold_.empty() && !hasRetired()) ||
-        t1 >= samples_.front().time_s) {
-        double best = 0.0;
-        bool seen = false;
-        for (std::size_t i = lowerBound(t1);
-             i < samples_.size() && samples_[i].time_s < t2; ++i) {
-            if (!seen || samples_[i].value > best) {
-                best = samples_[i].value;
-                seen = true;
-            }
-        }
-        return seen ? best : 0.0;
-    }
     bool seen = false;
     double best = 0.0;
+    if (size() == 0)
+        return 0.0;
+    if ((cold_.empty() && !hasRetired()) || t1 >= frame_->time(first_)) {
+        frame_->forRuns(col_, hotLowerBound(t1), end(),
+                        [&](const TimeS *t, const double *v,
+                            std::size_t n) {
+                            for (std::size_t i = 0; i < n; ++i) {
+                                if (t[i] >= t2)
+                                    return false;
+                                if (!seen || v[i] > best) {
+                                    best = v[i];
+                                    seen = true;
+                                }
+                            }
+                            return true;
+                        });
+        return seen ? best : 0.0;
+    }
     if (t1 < exact_since_s_)
         best = rollupMaxRange(t1, std::min(t2, exact_since_s_),
                               &seen);
@@ -496,6 +607,12 @@ double
 TimeSeries::exactMaxRange(TimeS a, TimeS b, bool *seen,
                           double best) const
 {
+    auto consider = [&](double v) {
+        if (!*seen || v > best) {
+            best = v;
+            *seen = true;
+        }
+    };
     for (const SealedBlock &blk : cold_) {
         if (blk.last_time_s < a)
             continue;
@@ -508,22 +625,20 @@ TimeSeries::exactMaxRange(TimeS a, TimeS b, bool *seen,
                 continue;
             if (s.time_s >= b)
                 return best;
-            if (!*seen || s.value > best) {
-                best = s.value;
-                *seen = true;
-            }
+            consider(s.value);
         }
     }
-    for (const Sample &s : samples_) {
-        if (s.time_s < a)
-            continue;
-        if (s.time_s >= b)
-            break;
-        if (!*seen || s.value > best) {
-            best = s.value;
-            *seen = true;
+    frame_->forRuns(col_, first_, end(), [&](const TimeS *t, const double *v,
+                                             std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (t[i] < a)
+                continue;
+            if (t[i] >= b)
+                return false;
+            consider(v[i]);
         }
-    }
+        return true;
+    });
     return best;
 }
 
@@ -544,7 +659,7 @@ TimeSeries::minuteStart() const
             if (smp.time_s >= minute_cut_s_)
                 return alignDown(smp.time_s, minute_.width());
     }
-    return alignDown(samples_.front().time_s, minute_.width());
+    return alignDown(frame_->time(first_), minute_.width());
 }
 
 double
@@ -601,7 +716,7 @@ std::size_t
 TimeSeries::memoryBytes() const
 {
     std::size_t bytes = sizeof(TimeSeries) +
-                        samples_.capacity() * sizeof(Sample) +
+                        (owns_ ? sizeof(Frame) + frame_->memoryBytes() : 0) +
                         cold_.capacity() * sizeof(SealedBlock);
     for (const SealedBlock &blk : cold_)
         bytes += blk.payload.capacity();

@@ -12,11 +12,15 @@
  * EcovisorOptions::retention_samples / retention_window_s) it becomes
  * a three-tier bounded store (docs/PERF.md "Retention tiers"):
  *
- *  - **hot ring**: the raw samples inside the retention bound, stored
- *    contiguously in `samples_` behind a head index (so `samples()`
- *    and indexed access keep their meaning; eviction advances the head
- *    past an aligned prefix in batches, and the dead prefix is
- *    compacted away only when a push finds the storage full).
+ *  - **hot tier**: the raw samples inside the retention bound, held
+ *    as a row range [first, end) of one column of a ts::Frame
+ *    (frame.h). A series recorded through the database's row API
+ *    (TsDatabase::beginRow/put/endRow) is a column of the database's
+ *    shared frame and reads the shared time column; a series written
+ *    through append() — or one whose shared rows outlive their chunk
+ *    — owns a private one-column frame with its own timestamps. Both
+ *    owners give the same storage and the same query walk. Eviction
+ *    advances `first` past an aligned prefix in batches.
  *  - **cold blocks**: evicted spans sealed into delta-of-delta /
  *    XOR-compressed blocks (block.h) — still lossless; queries decode
  *    them transparently, so every interval query is bit-identical to
@@ -25,9 +29,15 @@
  *  - **rollups**: minute/hour buckets (retention.h) answering queries
  *    older than the cold span at bucket resolution; older than the
  *    hour tier, evicted history reads as 0 (clamped, never
- *    extrapolated). The hour tier is recorded on every append; the
- *    minute tier is folded from each cold block as it retires, since
- *    it only ever answers windows behind the oldest retained block.
+ *    extrapolated). A private frame records the hour tier on every
+ *    append; a shared column folds its rows in just before each seal
+ *    and when it ends. Rows not folded yet are then always newer than
+ *    the last seal, and the integral, sum and max queries only read
+ *    hour buckets that end before the minute tier's start, which is
+ *    at or before that seal's newest row; valueAt() and hourTier()
+ *    take the unfolded rows into account. The minute tier is folded
+ *    from each cold block as it retires, since it only ever answers
+ *    windows behind the oldest retained block.
  */
 
 #ifndef ECOV_TELEMETRY_TIME_SERIES_H
@@ -36,9 +46,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 
 #include "telemetry/block.h"
+#include "telemetry/frame.h"
 #include "telemetry/retention.h"
 #include "telemetry/sample.h"
 #include "util/units.h"
@@ -56,17 +66,21 @@ namespace ecov::ts {
  *    raw values whose timestamps fall inside the window.
  *
  * The range queries take an optional *cursor* (ts::Cursor): an in/out
- * search hint updated to the window-start index that was found. Policy
- * loops issue monotonically advancing windows, so the cursor turns the
- * per-query binary search over the whole history into a search over
- * the few samples appended since the last query. The cursor never
- * changes a result — a stale hint (wrong index, or an epoch from
- * before an eviction batch) only costs a wider search — so cursored
+ * search hint updated to the window-start index that was found. A
+ * hint that is not the answer (wrong index, or an epoch from before an
+ * eviction batch) falls back to the frame's window search, which is
+ * itself cached per frame: the many series read over one window share
+ * one binary search. Neither hint ever changes a result, so cursored
  * and cursorless calls are bit-identical.
  */
 class TimeSeries
 {
   public:
+    TimeSeries() = default;
+    TimeSeries(const TimeSeries &) = delete;
+    TimeSeries &operator=(const TimeSeries &) = delete;
+    ~TimeSeries();
+
     /**
      * Set the retention policy. Must be called before the first
      * append (the ecovisor configures series at intern time); calling
@@ -81,57 +95,57 @@ class TimeSeries
     bool bounded() const { return retention_.bounded(); }
 
     /**
-     * Append a sample; timestamps must be non-decreasing. Inline, with
-     * the O(1) seal test: the ring push, the hour-bucket update and
-     * the test are the whole per-append cost until a seal is due.
+     * Append a sample; timestamps must be non-decreasing. The sample
+     * goes to the series' private frame (created on first use; a
+     * series whose shared column has ended moves its rows there
+     * first). Inline, with the O(1) seal test: the frame push, the
+     * hour-bucket update and the test are the whole per-append cost
+     * until a seal is due. Touches only this series, so appends to
+     * disjoint series may run on different threads.
      */
     void
     append(TimeS time_s, double value)
     {
-        if (!samples_.empty() && time_s < samples_.back().time_s)
+        if (!owns_)
+            makePrivate();
+        Frame &f = *frame_;
+        if (f.rows() > first_ && time_s < f.lastTime())
             outOfOrder();
-        samples_.push_back(Sample{time_s, value});
-        ++total_appends_;
+        f.append(time_s, value);
         if (!retention_.bounded())
             return;
-        // The minute tier is folded as cold blocks retire
-        // (retireCold); the hour tier stays per-append because its
-        // buckets straddle seal cuts.
         hour_.record(time_s, value);
-        if (sealDue())
+        if (sealDue(time_s))
             maybeSeal();
     }
 
-    /**
-     * Pre-size the raw sample storage for n total samples: an
-     * ecovisor that knows its horizon avoids repeated growth
-     * reallocation across long runs. Under a count bound the
-     * reservation is capped at max_samples plus the seal batch — the
-     * ring can never hold more. Under a window bound alone it is a
-     * no-op: the ring's size depends on the cadence, which the series
-     * cannot know. It is also a no-op once the first span has been
-     * sealed (the ring is at steady size then; re-reserving the
-     * horizon would defeat retention). Never shrinks.
-     */
-    void reserve(std::size_t n);
-
-    /** Reserved raw sample capacity (diagnostics/benches). */
-    std::size_t capacity() const { return samples_.capacity(); }
-
-    /** Number of raw samples in the hot ring. */
-    std::size_t size() const { return samples_.size(); }
+    /** Number of raw samples in the hot tier. */
+    std::size_t
+    size() const
+    {
+        return static_cast<std::size_t>(end() - first_);
+    }
 
     /** True when the series has never been written. */
-    bool empty() const { return total_appends_ == 0; }
+    bool empty() const { return totalAppends() == 0; }
 
     /**
-     * Read-only view of the hot ring, oldest retained raw sample
-     * first. The view is invalidated by the next append.
+     * Raw sample slots the series' private frame holds allocated
+     * (spare chunk included); 0 for a shared column, whose rows are
+     * the database's.
      */
-    std::span<const Sample>
-    samples() const
+    std::size_t
+    capacity() const
     {
-        return {samples_.data(), samples_.size()};
+        return owns_ ? frame_->slotCapacity() : 0;
+    }
+
+    /** Hot-tier sample i, oldest retained first (i < size()). */
+    Sample
+    at(std::size_t i) const
+    {
+        const std::int64_t row = first_ + static_cast<std::int64_t>(i);
+        return Sample{frame_->time(row), frame_->value(col_, row)};
     }
 
     /** Most recent value; 0 when empty. */
@@ -175,7 +189,7 @@ class TimeSeries
     /** Maximum raw sample value with t1 <= time < t2; 0 when none. */
     double maxRange(TimeS t1, TimeS t2) const;
 
-    /** Index of first hot-ring sample with time >= t. */
+    /** Index of first hot-tier sample with time >= t. */
     std::size_t lowerBound(TimeS t) const;
 
     /**
@@ -192,30 +206,38 @@ class TimeSeries
     // ------------------------------------------------------------------
 
     /**
-     * Ring epoch for cursor checks: the number of samples evicted from
-     * the hot ring so far. 0 until the first seal, and it changes on
-     * every seal, since each one evicts at least one sample.
+     * Hot-tier epoch for cursor checks: the number of samples evicted
+     * from the hot tier so far. 0 until the first seal, and it changes
+     * on every seal, since each one evicts at least one sample.
      */
     std::uint64_t
     epoch() const
     {
-        return total_appends_ - samples_.size();
+        return static_cast<std::uint64_t>(first_ - born_);
     }
 
     /** Samples ever appended (across all tiers and evictions). */
-    std::uint64_t totalAppends() const { return total_appends_; }
+    std::uint64_t
+    totalAppends() const
+    {
+        return static_cast<std::uint64_t>(end() - born_);
+    }
 
     /** Sealed cold blocks currently retained. */
     std::size_t coldBlockCount() const { return cold_.size(); }
 
     /** Raw samples held inside the cold blocks. */
-    std::size_t coldSampleCount() const { return cold_samples_; }
+    std::size_t coldSampleCount() const;
 
     /** The minute-rollup tier (retired history only). */
     const RollupTier &minuteTier() const { return minute_; }
 
-    /** The hour-rollup tier. */
-    const RollupTier &hourTier() const { return hour_; }
+    /**
+     * The hour-rollup tier, as if every appended sample had been
+     * recorded: a copy with the shared column's not-yet-folded rows
+     * folded in (diagnostics; queries read the tier in place).
+     */
+    RollupTier hourTier() const;
 
     /**
      * Start of the exact (cold+hot) coverage: queries from here on
@@ -228,27 +250,60 @@ class TimeSeries
     /** True once at least one cold block has been retired. */
     bool hasRetired() const { return exact_since_s_ != kNotRetired; }
 
-    /** Heap bytes across all tiers, each counted by capacity. */
+    /** Heap bytes across all tiers, each counted by capacity; a
+     *  shared column's rows are the database's (TsDatabase::
+     *  memoryBytes), a private frame's are the series'. */
     std::size_t memoryBytes() const;
 
   private:
+    friend class TsDatabase;
+
+    /** end_ of a series whose rows still grow with its frame. */
+    static constexpr std::int64_t kOpen =
+        std::numeric_limits<std::int64_t>::max();
+
+    /** One past the newest row. */
+    std::int64_t
+    end() const
+    {
+        return !frame_ ? 0 : end_ == kOpen ? frame_->rows() : end_;
+    }
+
+    /** First row in [first_, end()) with time >= t (end() if none). */
+    std::int64_t hotLowerBound(TimeS t) const;
+
+    /** hotLowerBound(t), trying the relative index `hint` first. */
+    std::int64_t hintedLowerBound(TimeS t, std::size_t hint) const;
+
+    /** hotLowerBound(t) for a query: the frame's cached window start
+     *  first, then the cursor (when its epoch matches), then a
+     *  search. */
+    std::int64_t queryLowerBound(TimeS t, const Cursor *cursor) const;
+
+    /** Move the rows into a fresh private frame (see append()). */
+    void makePrivate();
+
+    /** Fold rows [folded_, row) into the hour tier. */
+    void foldHour(std::int64_t row);
+
     /**
      * True when a whole batch has aged out of the bound, decided in
      * O(1): the count bound keeps from n - max_samples, and since
      * times are monotone, lowerBound(newest - window_s) >= seal_batch
-     * iff sample seal_batch-1 is older than the window.
+     * iff sample seal_batch-1 is older than the window. `newest` is
+     * the newest sample's time, which the caller already holds.
      */
     bool
-    sealDue() const
+    sealDue(TimeS newest) const
     {
-        const std::size_t n = samples_.size();
-        const std::size_t batch = retention_.seal_batch;
+        const std::int64_t n = end() - first_;
+        const auto batch = static_cast<std::int64_t>(retention_.seal_batch);
         if (retention_.max_samples > 0 &&
-            n >= retention_.max_samples + batch)
+            n >= static_cast<std::int64_t>(retention_.max_samples) + batch)
             return true;
         return retention_.window_s > 0 && n >= batch &&
-               samples_[batch - 1].time_s <
-                   samples_.back().time_s - retention_.window_s;
+               frame_->time(first_ + batch - 1) <
+                   newest - retention_.window_s;
     }
 
     [[noreturn]] static void outOfOrder();
@@ -257,12 +312,12 @@ class TimeSeries
     void retireCold();
     void dropRollups();
 
-    /** The legacy flat-scan queries over the hot ring only. */
+    /** The legacy flat-scan queries over the hot tier only. */
     double hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const;
     double hotSumRange(TimeS t1, TimeS t2, Cursor *cursor) const;
 
     /** Exact queries over [a, b) walking cold blocks then the hot
-     *  ring (a >= exactSince()); op-for-op identical to the same
+     *  tier (a >= exactSince()); op-for-op identical to the same
      *  scan over the flat unbounded history. The integral is in
      *  value-seconds. */
     double exactIntegrateVs(TimeS a, TimeS b) const;
@@ -279,16 +334,26 @@ class TimeSeries
     /** Start of the minute tier's coverage (the rollup seam). */
     TimeS minuteStart() const;
 
-    /** Hot ring, oldest first. Compacts on any dead prefix, so its
-     *  capacity never exceeds that of a vector erased at the front. */
-    TierQueue<Sample, /*kCompactAnyDead=*/true> samples_;
+    /** The frame holding the hot tier: the database's shared frame,
+     *  or the series' own private one (owns_). */
+    Frame *frame_ = nullptr;
+    /** Hot rows are [first_, end()); end_ is kOpen while the rows
+     *  grow with the frame (a private frame, or a live shared column)
+     *  and fixed once a shared column ends. */
+    std::int64_t first_ = 0;
+    std::int64_t end_ = kOpen;
+    /** Row of the first sample ever written, in frame_'s numbering
+     *  (negative after a move to a private frame): epoch() and
+     *  totalAppends() count from it. */
+    std::int64_t born_ = 0;
+    /** A shared column's hour tier holds its rows below this one. */
+    std::int64_t folded_ = 0;
+    std::int32_t col_ = 0;
+    bool owns_ = false;
     RetentionConfig retention_;
-
-    std::uint64_t total_appends_ = 0;
 
     /** Sealed cold spans, oldest first; spans tile [start,end) cuts. */
     TierQueue<SealedBlock> cold_;
-    std::size_t cold_samples_ = 0;
 
     /** Exact-coverage boundary: the newest retired block's end cut.
      *  The step value carried across it is minute_.carry(), since the

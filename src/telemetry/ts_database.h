@@ -9,15 +9,24 @@
  *
  * Storage layout (the telemetry hot path, see docs/PERF.md): series
  * live in a dense **slab** addressed by a SeriesId. The string pair is
- * *interned* to an id exactly once (intern()/findSeries()); every
- * append after that is an inline, indexed, string-free push into the
- * series' hot ring, allocation-free once the ring is at its steady
- * size. The string-keyed write()/series() surface remains as a
- * thin compat shim — resolve, then delegate — with bit-identical
- * results, so seed-era callers and tests observe no change. The slab
- * is a deque: interning a new series never moves existing ones, so
- * `const TimeSeries &` references and SeriesIds stay valid for the
- * database's lifetime (until clear()).
+ * *interned* to an id exactly once (intern()/findSeries()), with a
+ * heterogeneous lookup that builds no key on a hit. Samples live in
+ * columnar frames (frame.h):
+ *
+ *  - **Row path.** A series join()ed to the database is one column of
+ *    its shared frame. Each tick is one row: beginRow(t) appends t to
+ *    the shared time column once, put(id, v) stores v in the series'
+ *    column (inline, one store plus a stamp), and endRow() ends the
+ *    columns nobody wrote this row and runs the seals that are due.
+ *    Every 64 rows a new chunk opens carrying the live columns over;
+ *    chunks whose rows every series has sealed go on a free list.
+ *  - **Append path.** append()/write() go to the series' private
+ *    one-column frame with its own timestamps. The string-keyed
+ *    write()/series() surface is a thin resolve-then-delegate shim.
+ *
+ * The slab is a deque: interning a new series never moves existing
+ * ones, so `const TimeSeries &` references and SeriesIds stay valid
+ * for the database's lifetime (until clear()).
  */
 
 #ifndef ECOV_TELEMETRY_TS_DATABASE_H
@@ -26,9 +35,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "telemetry/frame.h"
 #include "telemetry/time_series.h"
 
 namespace ecov::ts {
@@ -73,18 +86,21 @@ class TsDatabase
         }
     };
 
+    TsDatabase();
+    TsDatabase(const TsDatabase &) = delete;
+    TsDatabase &operator=(const TsDatabase &) = delete;
+
     // ------------------------------------------------------------------
     // SeriesId surface (the hot path: resolve once, index thereafter).
     // ------------------------------------------------------------------
 
     /**
      * Intern (measurement, tag): the existing id, or a fresh slab
-     * slot on first use. The only allocating call on the write path —
-     * do it at setup time, not per tick. Fresh series inherit the
-     * database's default retention policy.
+     * slot on first use (the only call that builds a Key). Do it at
+     * setup time, not per tick. Fresh series inherit the database's
+     * default retention policy.
      */
-    SeriesId intern(const std::string &measurement,
-                    const std::string &tag);
+    SeriesId intern(std::string_view measurement, std::string_view tag);
 
     /**
      * Retention policy applied to every series interned from now on
@@ -100,33 +116,80 @@ class TsDatabase
         return default_retention_;
     }
 
-    /** Approximate live bytes across all interned series. */
+    /** Approximate live bytes: every series plus the shared frame. */
     std::size_t memoryBytes() const;
 
     /** Id of an already-interned pair; kInvalidSeries when unknown. */
-    SeriesId findSeries(const std::string &measurement,
-                        const std::string &tag = "") const;
+    SeriesId findSeries(std::string_view measurement,
+                        std::string_view tag = "") const;
 
     /**
-     * Append a sample to an interned series: a bounds check plus an
-     * indexed TimeSeries::append, both inline — no string compares,
-     * no allocation beyond amortized ring growth (none at all after
-     * reserve()). Fatal on an invalid id (e.g. one held across
-     * clear()).
+     * Append a sample to an interned series' private frame: a bounds
+     * check plus an inline TimeSeries::append. Safe on disjoint ids
+     * from several threads while the series are not joined; on a
+     * joined series it first ends the column (sequential only).
+     * Fatal on an invalid id (e.g. one held across clear()).
      */
     void
     append(SeriesId id, TimeS time_s, double value)
     {
-        if (id < 0 || static_cast<std::size_t>(id) >= slab_.size())
-            invalidId("TsDatabase::append");
+        checkId(id, "TsDatabase::append");
+        if (col_of_[static_cast<std::size_t>(id)] >= 0)
+            detach(id);
         slab_[static_cast<std::size_t>(id)].append(time_s, value);
     }
 
+    // ------------------------------------------------------------------
+    // Row API: one row of the shared frame per tick.
+    // ------------------------------------------------------------------
+
+    /**
+     * Make a never-written series a column of the shared frame from
+     * the current row (inside beginRow/endRow) or the next one.
+     * Sequential. No-op on a live column, and on a series that holds
+     * samples (it stays on its private frame).
+     */
+    void join(SeriesId id);
+
+    /**
+     * Begin the row for time t. Sequential; t must not precede the
+     * previous row's time (checked once here for every column).
+     */
+    void beginRow(TimeS time_s);
+
+    /**
+     * Write id's value in the current row. Inline: one store into the
+     * series' column plus a stamp. Safe from several threads on
+     * disjoint ids, like append(). A series that is not a live
+     * column (never joined, or its column ended) takes the sample at
+     * the row's time on its private frame instead.
+     */
+    void
+    put(SeriesId id, double value)
+    {
+        checkId(id, "TsDatabase::put");
+        const std::int32_t col = col_of_[static_cast<std::size_t>(id)];
+        if (col < 0) {
+            if (row_ < 0)
+                noRow();
+            slab_[static_cast<std::size_t>(id)].append(row_time_, value);
+            return;
+        }
+        row_values_[col * kChunkRows] = value;
+        stamp_[static_cast<std::size_t>(col)] = row_;
+    }
+
+    /**
+     * Commit the row. Sequential. A column not written this row ends
+     * there (its series keeps its rows and reads as ended, like a
+     * destroyed container's); then every column whose seal is due
+     * folds its rows into its hour tier and seals, and chunks no live
+     * column holds any more are retired.
+     */
+    void endRow();
+
     /** Indexed series lookup (fatal on an invalid id). */
     const TimeSeries &series(SeriesId id) const;
-
-    /** Pre-size an interned series for n total samples. */
-    void reserve(SeriesId id, std::size_t n);
 
     /** Interned series count, including never-written ones. */
     std::size_t internedCount() const { return slab_.size(); }
@@ -136,16 +199,16 @@ class TsDatabase
     // ------------------------------------------------------------------
 
     /** Append a sample to (measurement, tag), creating it if needed. */
-    void write(const std::string &measurement, const std::string &tag,
+    void write(std::string_view measurement, std::string_view tag,
                TimeS time_s, double value);
 
     /** Series lookup for queries; empty series when unknown. */
-    const TimeSeries &series(const std::string &measurement,
-                             const std::string &tag = "") const;
+    const TimeSeries &series(std::string_view measurement,
+                             std::string_view tag = "") const;
 
     /** True when the series exists and has samples. */
-    bool has(const std::string &measurement,
-             const std::string &tag = "") const;
+    bool has(std::string_view measurement,
+             std::string_view tag = "") const;
 
     /** All (measurement, tag) keys with at least one sample, sorted. */
     std::vector<Key> keys() const;
@@ -157,21 +220,99 @@ class TsDatabase
     void clear();
 
   private:
+    /** Lookup key over borrowed strings (no allocation). */
+    struct KeyView
+    {
+        std::string_view measurement;
+        std::string_view tag;
+    };
+
+    /** Orders Key and KeyView alike, so lookups need no Key. */
+    struct KeyLess
+    {
+        using is_transparent = void;
+
+        static std::pair<std::string_view, std::string_view>
+        view(const Key &k)
+        {
+            return {k.measurement, k.tag};
+        }
+        static std::pair<std::string_view, std::string_view>
+        view(const KeyView &k)
+        {
+            return {k.measurement, k.tag};
+        }
+        template <typename A, typename B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return view(a) < view(b);
+        }
+    };
+
+    void
+    checkId(SeriesId id, const char *who) const
+    {
+        // col_of_ has one entry per interned series, and a vector's
+        // size is cheaper to read than the deque's.
+        if (id < 0 || static_cast<std::size_t>(id) >= col_of_.size())
+            invalidId(who);
+    }
+
     /** Fatal: `who` was handed an id this database never issued. */
     [[noreturn]] static void invalidId(const char *who);
+    /** Fatal: put() outside beginRow/endRow. */
+    [[noreturn]] static void noRow();
+
+    /** A new chunk for row frame_->rows(), carrying the live columns. */
+    void openChunk();
+    /** End column `col`'s series at row `end` (exclusive). */
+    void endColumn(std::int32_t col, std::int64_t end);
+    /** End a joined series' column so it can take private appends. */
+    void detach(SeriesId id);
+    /** Seal column `col` if due, then recompute its wake-up. */
+    void wakeColumn(std::int32_t col);
+    /** Precompute the row / time at which col's seal test can next
+     *  pass, so endRow tests two integers instead of the series. */
+    void setWake(std::int32_t col, const TimeSeries &s);
+    /** One live series fewer holds rows in chunks [a/64, b/64). */
+    void release(std::int64_t a, std::int64_t b);
+    /** Retire front chunks that no live column holds. */
+    void retireChunks();
 
     /** Sorted intern table: key -> slab index. */
-    std::map<Key, SeriesId> index_;
+    std::map<Key, SeriesId, KeyLess> index_;
     /**
      * The series slab. A deque so interning never relocates existing
      * series: ids, and `const TimeSeries &` references handed to
      * callers, stay stable — which is also what lets sharded
-     * recording append to disjoint ids while the structure itself is
-     * untouched (interning is sequential by contract, see
-     * Ecovisor::recordTelemetry).
+     * recording write disjoint ids while the structure itself is
+     * untouched (interning and joining are sequential by contract,
+     * see Ecovisor::recordTelemetry).
      */
     std::deque<TimeSeries> slab_;
     RetentionConfig default_retention_;
+
+    /** The shared frame (heap-held so clear() can replace it). */
+    std::unique_ptr<Frame> frame_;
+    /** Per series: its column in the open chunk, -1 when none. */
+    std::vector<std::int32_t> col_of_;
+    /** Per column of the open chunk: its live series (-1: none), the
+     *  last row put wrote, and the seal wake-up row and time. */
+    std::vector<SeriesId> col_owner_;
+    std::vector<std::int64_t> stamp_;
+    std::vector<std::int64_t> wake_row_;
+    std::vector<TimeS> wake_t_;
+    /** Columns free to join (lowest last once a chunk opens). */
+    std::vector<std::int32_t> free_cols_;
+    /** Live columns (the next chunk's holders). */
+    std::int32_t live_ = 0;
+    /** The row in progress (-1 between rows), its time and the
+     *  address of its value in column 0. */
+    std::int64_t row_ = -1;
+    TimeS row_time_ = 0;
+    double *row_values_ = nullptr;
+
     static const TimeSeries empty_;
 };
 

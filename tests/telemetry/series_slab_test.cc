@@ -49,8 +49,8 @@ TEST(SeriesSlab, AppendByIdEqualsWriteByString)
         const TimeSeries &y = by_string.series("power", tag);
         ASSERT_EQ(x.size(), y.size());
         for (std::size_t i = 0; i < x.size(); ++i) {
-            EXPECT_EQ(x.samples()[i].time_s, y.samples()[i].time_s);
-            EXPECT_EQ(x.samples()[i].value, y.samples()[i].value);
+            EXPECT_EQ(x.at(i).time_s, y.at(i).time_s);
+            EXPECT_EQ(x.at(i).value, y.at(i).value);
         }
     }
 }
@@ -89,14 +89,18 @@ TEST(SeriesSlab, SeriesReferencesSurviveLaterInterning)
     EXPECT_DOUBLE_EQ(ref.last(), 42.0);
 }
 
-TEST(SeriesSlab, ReservePreSizesWithoutSamples)
+TEST(SeriesSlab, JoinedButUnwrittenSeriesAreInvisible)
 {
     TsDatabase db;
     const SeriesId a = db.intern("m", "t");
-    db.reserve(a, 500);
-    EXPECT_GE(db.series(a).capacity(), 500u);
+    db.join(a);
     EXPECT_TRUE(db.series(a).empty());
     EXPECT_EQ(db.seriesCount(), 0u);
+    // A row that skips the column ends it empty: still invisible.
+    db.beginRow(0);
+    db.endRow();
+    EXPECT_TRUE(db.series(a).empty());
+    EXPECT_FALSE(db.has("m", "t"));
 }
 
 TEST(SeriesSlab, InvalidIdsAreFatalNotSilent)
@@ -104,7 +108,10 @@ TEST(SeriesSlab, InvalidIdsAreFatalNotSilent)
     TsDatabase db;
     EXPECT_THROW(db.append(0, 0, 1.0), FatalError);
     EXPECT_THROW(db.series(SeriesId{3}), FatalError);
-    EXPECT_THROW(db.reserve(kInvalidSeries, 10), FatalError);
+    EXPECT_THROW(db.join(kInvalidSeries), FatalError);
+    db.beginRow(0);
+    EXPECT_THROW(db.put(kInvalidSeries, 1.0), FatalError);
+    db.endRow();
     const SeriesId a = db.intern("m", "t");
     db.append(a, 0, 1.0);
     db.clear();

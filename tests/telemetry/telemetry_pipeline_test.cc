@@ -45,10 +45,10 @@ expectDbBitIdentical(const ts::TsDatabase &a, const ts::TsDatabase &b)
         ASSERT_EQ(sa.size(), sb.size())
             << ka[i].measurement << "/" << ka[i].tag;
         for (std::size_t j = 0; j < sa.size(); ++j) {
-            EXPECT_EQ(sa.samples()[j].time_s, sb.samples()[j].time_s)
+            EXPECT_EQ(sa.at(j).time_s, sb.at(j).time_s)
                 << ka[i].measurement << "/" << ka[i].tag << "[" << j
                 << "]";
-            EXPECT_EQ(sa.samples()[j].value, sb.samples()[j].value)
+            EXPECT_EQ(sa.at(j).value, sb.at(j).value)
                 << ka[i].measurement << "/" << ka[i].tag << "[" << j
                 << "]";
         }
@@ -208,9 +208,11 @@ TEST(TelemetryPipeline, AppSeriesIdMatchesStringLookup)
     EXPECT_EQ(bad.status().code(), api::ErrorCode::InvalidHandle);
 }
 
-TEST(TelemetryPipeline, ExpectedTicksPreSizesSeries)
+/** The row path records every series as a column of the shared
+ *  frame: no series holds a private frame of its own. */
+TEST(TelemetryPipeline, RowPathRecordsSeriesAsFrameColumns)
 {
-    Rig rig(EcovisorOptions{.expected_ticks = 500});
+    Rig rig;
     rig.eco.addApp("a", appShare(0.5, 360.0));
     const api::AppHandle h = rig.eco.findApp("a").value();
     auto id = rig.cluster.createContainer("a", 1.0);
@@ -219,14 +221,17 @@ TEST(TelemetryPipeline, ExpectedTicksPreSizesSeries)
 
     const ts::SeriesId power =
         rig.eco.appSeriesId(h, api::AppMetric::PowerW).value();
-    EXPECT_GE(rig.eco.db().series(power).capacity(), 500u);
-    EXPECT_GE(rig.eco.db().series("grid_carbon").capacity(), 500u);
+    EXPECT_EQ(rig.eco.db().series(power).size(), 1u);
+    EXPECT_EQ(rig.eco.db().series(power).capacity(), 0u);
+    EXPECT_EQ(rig.eco.db().series("grid_carbon").size(), 1u);
+    EXPECT_EQ(rig.eco.db().series("grid_carbon").capacity(), 0u);
     const ts::SeriesId cpower =
         rig.eco
             .containerSeriesId(api::handleOf(rig.cluster, *id),
                                api::ContainerMetric::PowerW)
             .value();
-    EXPECT_GE(rig.eco.db().series(cpower).capacity(), 500u);
+    EXPECT_EQ(rig.eco.db().series(cpower).size(), 1u);
+    EXPECT_EQ(rig.eco.db().series(cpower).capacity(), 0u);
 }
 
 TEST(TelemetryPipeline, EcoLibCursorQueriesMatchPlainQueries)

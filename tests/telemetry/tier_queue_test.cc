@@ -1,9 +1,10 @@
 /**
  * @file
- * ts::TierQueue, the head-indexed FIFO under every retention tier:
- * random push/pop/drop sequences must read exactly like a std::deque,
- * an empty queue must hold no storage, and each compaction rule must
- * compact rather than grow whenever its dead-prefix condition holds.
+ * ts::TierQueue, the head-indexed FIFO under the cold and rollup
+ * tiers and the frame's chunk table: random push/pop sequences must
+ * read exactly like a std::deque, an empty queue must hold no storage,
+ * and the queue must compact rather than grow once an eighth of it is
+ * dead.
  */
 
 #include <gtest/gtest.h>
@@ -35,22 +36,30 @@ expectSameContents(const Q &q, const std::deque<std::uint64_t> &shadow)
     if (!shadow.empty()) {
         ASSERT_EQ(q.front(), shadow.front());
         ASSERT_EQ(q.back(), shadow.back());
-        ASSERT_EQ(q.data(), q.begin());
+    }
+}
+
+/** Pop the n oldest elements of both. */
+template <typename Q>
+void
+popBoth(Q *q, std::deque<std::uint64_t> *shadow, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(q->pop_front(), shadow->front());
+        shadow->pop_front();
     }
 }
 
 /**
- * Random push_back/pop_front/dropFront against a std::deque shadow.
+ * Random push_back/pop_front batches against a std::deque shadow.
  * Whenever a push grows the vector, it must have been full (head plus
- * live == capacity) with a dead prefix the rule does not compact:
- * none under the any-dead rule, under an eighth under the 1/8 rule.
+ * live == capacity) with under an eighth of it dead.
  */
-template <bool kCompactAnyDead>
 void
 randomOpsMatchDeque(std::uint64_t seed)
 {
     Rng rng(seed);
-    TierQueue<std::uint64_t, kCompactAnyDead> q;
+    TierQueue<std::uint64_t> q;
     std::deque<std::uint64_t> shadow;
     std::uint64_t next = 0;
     int growths = 0, drops = 0;
@@ -70,23 +79,17 @@ randomOpsMatchDeque(std::uint64_t seed)
                 // Grown, so it was full: everything before the live
                 // elements was dead.
                 const std::size_t dead = cap - live;
-                if (kCompactAnyDead)
-                    ASSERT_EQ(dead, 0u) << "op=" << op;
-                else
-                    ASSERT_LT(8 * dead, cap) << "op=" << op;
+                ASSERT_LT(8 * dead, cap) << "op=" << op;
             }
         } else if (r < (filling ? 0.95 : 0.7)) {
-            q.pop_front();
-            shadow.pop_front();
+            popBoth(&q, &shadow, 1);
         } else {
             // Mostly batch-sized drops; now and then the whole queue.
             const auto most = static_cast<std::int64_t>(shadow.size());
             const auto n = static_cast<std::size_t>(rng.uniformInt(
                 1, rng.bernoulli(0.05) ? most : std::min<std::int64_t>(
                                                     most, 8)));
-            q.dropFront(n);
-            shadow.erase(shadow.begin(),
-                         shadow.begin() + static_cast<std::ptrdiff_t>(n));
+            popBoth(&q, &shadow, n);
             ++drops;
         }
         expectSameContents(q, shadow);
@@ -100,24 +103,15 @@ randomOpsMatchDeque(std::uint64_t seed)
 TEST(TierQueue, RandomOpsMatchDequeEighthDeadRule)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
-        randomOpsMatchDeque<false>(seed);
-}
-
-TEST(TierQueue, RandomOpsMatchDequeAnyDeadRule)
-{
-    for (std::uint64_t seed = 1; seed <= 4; ++seed)
-        randomOpsMatchDeque<true>(seed);
+        randomOpsMatchDeque(seed);
 }
 
 TEST(TierQueue, EmptyQueueAllocatesNothing)
 {
     const TierQueue<std::uint64_t> eighth;
-    const TierQueue<std::uint64_t, true> any;
     EXPECT_EQ(eighth.capacity(), 0u);
-    EXPECT_EQ(any.capacity(), 0u);
     EXPECT_TRUE(eighth.empty());
     EXPECT_EQ(eighth.begin(), eighth.end());
-    EXPECT_EQ(any.begin(), any.end());
 }
 
 /** Fill a queue to exactly its capacity; returns that capacity. */
@@ -126,25 +120,9 @@ std::size_t
 fillToCapacity(Q *q)
 {
     std::uint64_t v = 0;
-    q->reserve(64);
-    while (q->size() < q->capacity())
+    while (q->size() < 64 || q->size() < q->capacity())
         q->push_back(v++);
     return q->capacity();
-}
-
-TEST(TierQueue, AnyDeadRuleCompactsOnOneDeadElement)
-{
-    TierQueue<std::uint64_t, true> q;
-    const std::size_t cap = fillToCapacity(&q);
-    q.pop_front();
-    q.push_back(1000);
-    EXPECT_EQ(q.capacity(), cap);
-    EXPECT_EQ(q.size(), cap);
-    EXPECT_EQ(q.front(), 1u);
-    EXPECT_EQ(q.back(), 1000u);
-    // Full with no dead prefix: only now does it grow.
-    q.push_back(1001);
-    EXPECT_GT(q.capacity(), cap);
 }
 
 TEST(TierQueue, EighthDeadRuleCompactsAtAnEighthDead)
@@ -152,7 +130,8 @@ TEST(TierQueue, EighthDeadRuleCompactsAtAnEighthDead)
     TierQueue<std::uint64_t> q;
     const std::size_t cap = fillToCapacity(&q);
     const std::size_t eighth = (cap + 7) / 8;
-    q.dropFront(eighth);
+    for (std::size_t i = 0; i < eighth; ++i)
+        q.pop_front();
     q.push_back(1000);
     EXPECT_EQ(q.capacity(), cap);
     EXPECT_EQ(q.size(), cap - eighth + 1);
@@ -161,7 +140,8 @@ TEST(TierQueue, EighthDeadRuleCompactsAtAnEighthDead)
     // Under an eighth dead, a full vector grows instead.
     TierQueue<std::uint64_t> r;
     const std::size_t rcap = fillToCapacity(&r);
-    r.dropFront(eighth - 1);
+    for (std::size_t i = 0; i + 1 < eighth; ++i)
+        r.pop_front();
     r.push_back(1000);
     EXPECT_GT(r.capacity(), rcap);
     EXPECT_EQ(r.front(), eighth - 1);
@@ -174,16 +154,18 @@ TEST(TierQueue, PopReleasesElementsAndDrainingResetsHead)
     q.push_back(held);
     q.push_back(std::make_shared<int>(8));
     EXPECT_EQ(held.use_count(), 2);
-    q.pop_front();
+    // pop_front hands the element back; dropping it releases it.
+    EXPECT_EQ(q.pop_front(), held);
     EXPECT_EQ(held.use_count(), 1);
     q.pop_front();
     EXPECT_TRUE(q.empty());
 
-    // Draining with dropFront resets the head: the next push reuses
-    // the vector from its start rather than growing.
-    TierQueue<std::uint64_t, true> d;
+    // Draining resets the head: the next push reuses the vector from
+    // its start rather than growing.
+    TierQueue<std::uint64_t> d;
     const std::size_t cap = fillToCapacity(&d);
-    d.dropFront(d.size());
+    while (!d.empty())
+        d.pop_front();
     EXPECT_TRUE(d.empty());
     for (std::uint64_t v = 0; v < cap; ++v)
         d.push_back(v);

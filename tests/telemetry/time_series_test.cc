@@ -130,11 +130,9 @@ TEST(TimeSeries, MaxRange)
     EXPECT_DOUBLE_EQ(s.maxRange(500, 600), 0.0);
 }
 
-TEST(TimeSeries, ReserveIsPureCapacity)
+TEST(TimeSeries, FreshSeriesIsEmptyUntilAppended)
 {
     TimeSeries s;
-    s.reserve(1000);
-    EXPECT_GE(s.capacity(), 1000u);
     EXPECT_TRUE(s.empty());
     s.append(0, 1.0);
     s.append(60, 2.0);
@@ -201,16 +199,14 @@ referenceIntegrateWh(const TimeSeries &s, TimeS t1, TimeS t2)
     TimeS cursor = t1;
     std::size_t idx = s.lowerBound(t1);
     double current = s.valueAt(t1);
-    const auto &samples = s.samples();
-    if (idx < samples.size() && samples[idx].time_s == t1) {
-        current = samples[idx].value;
+    if (idx < s.size() && s.at(idx).time_s == t1) {
+        current = s.at(idx).value;
         ++idx;
     }
-    while (idx < samples.size() && samples[idx].time_s < t2) {
-        acc += current *
-               static_cast<double>(samples[idx].time_s - cursor);
-        cursor = samples[idx].time_s;
-        current = samples[idx].value;
+    while (idx < s.size() && s.at(idx).time_s < t2) {
+        acc += current * static_cast<double>(s.at(idx).time_s - cursor);
+        cursor = s.at(idx).time_s;
+        current = s.at(idx).value;
         ++idx;
     }
     acc += current * static_cast<double>(t2 - cursor);
