@@ -26,18 +26,8 @@ TraceCarbonSignal::TraceCarbonSignal(std::vector<Point> points,
 double
 TraceCarbonSignal::intensityAt(TimeS t) const
 {
-    if (period_s_ > 0) {
-        t %= period_s_;
-        if (t < 0)
-            t += period_s_;
-    }
-    auto it = std::upper_bound(points_.begin(), points_.end(), t,
-                               [](TimeS v, const Point &p) {
-                                   return v < p.time_s;
-                               });
-    if (it == points_.begin())
-        return points_.front().intensity_g_per_kwh;
-    return (it - 1)->intensity_g_per_kwh;
+    return points_[lookup_.find(points_, t, period_s_)]
+        .intensity_g_per_kwh;
 }
 
 double

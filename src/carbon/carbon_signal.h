@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "util/step_lookup.h"
 #include "util/units.h"
 
 namespace ecov::carbon {
@@ -81,6 +82,7 @@ class TraceCarbonSignal : public CarbonIntensitySignal
   private:
     std::vector<Point> points_;
     TimeS period_s_;
+    StepLookup lookup_;
 };
 
 } // namespace ecov::carbon

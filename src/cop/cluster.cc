@@ -1,5 +1,7 @@
 #include "cop/cluster.h"
 
+#include <bit>
+
 #include "util/logging.h"
 
 namespace ecov::cop {
@@ -11,6 +13,7 @@ Cluster::Cluster(int node_count, const power::ServerPowerConfig &node_config)
     nodes_.reserve(static_cast<std::size_t>(node_count));
     for (int i = 0; i < node_count; ++i)
         nodes_.emplace_back(node_config);
+    rebuildNodeBuckets();
 }
 
 Cluster::Cluster(const std::vector<power::ServerPowerConfig> &nodes)
@@ -20,6 +23,7 @@ Cluster::Cluster(const std::vector<power::ServerPowerConfig> &nodes)
     nodes_.reserve(nodes.size());
     for (const auto &cfg : nodes)
         nodes_.emplace_back(cfg);
+    rebuildNodeBuckets();
 }
 
 double
@@ -81,18 +85,43 @@ int
 Cluster::pickNode(double cores) const
 {
     // LXD default scheduler: fewest instances among feasible nodes;
-    // break ties by lowest index for determinism.
-    int best = -1;
-    for (int i = 0; i < nodeCount(); ++i) {
-        if (nodes_[static_cast<std::size_t>(i)].freeCores() + 1e-9 < cores)
-            continue;
-        if (best < 0 ||
-            nodes_[static_cast<std::size_t>(i)].instances <
-                nodes_[static_cast<std::size_t>(best)].instances) {
-            best = i;
+    // break ties by lowest index for determinism. Buckets in count
+    // order, each in index order: the first node that fits wins.
+    for (std::size_t w = 0; w < node_buckets_.size(); ++w) {
+        for (std::uint64_t bits = node_buckets_[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::size_t i = (w % node_words_) * 64 +
+                                  static_cast<std::size_t>(
+                                      std::countr_zero(bits));
+            if (nodes_[i].freeCores() + 1e-9 >= cores)
+                return static_cast<int>(i);
         }
     }
-    return best;
+    return -1;
+}
+
+void
+Cluster::rebucketNode(int node, int from)
+{
+    const auto word = static_cast<std::size_t>(node) / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (node % 64);
+    if (from >= 0)
+        node_buckets_[static_cast<std::size_t>(from) * node_words_ +
+                      word] &= ~bit;
+    const auto to = static_cast<std::size_t>(
+        nodes_[static_cast<std::size_t>(node)].instances);
+    if ((to + 1) * node_words_ > node_buckets_.size())
+        node_buckets_.resize((to + 1) * node_words_, 0);
+    node_buckets_[to * node_words_ + word] |= bit;
+}
+
+void
+Cluster::rebuildNodeBuckets()
+{
+    node_words_ = (nodes_.size() + 63) / 64;
+    node_buckets_.assign(node_words_, 0);
+    for (int i = 0; i < nodeCount(); ++i)
+        rebucketNode(i, -1);
 }
 
 std::optional<ContainerId>
@@ -164,6 +193,7 @@ Cluster::createContainer(std::string_view app, double cores)
     auto &n = nodes_[static_cast<std::size_t>(node)];
     n.cores_allocated += cores;
     n.instances += 1;
+    rebucketNode(node, n.instances - 1);
     return slot.c.id;
 }
 
@@ -180,6 +210,7 @@ Cluster::destroyContainer(ContainerId id)
     if (n.cores_allocated < 0.0)
         n.cores_allocated = 0.0;
     n.instances -= 1;
+    rebucketNode(slot.c.node, n.instances + 1);
 
     const auto si = static_cast<std::size_t>(s);
     const std::int32_t app_next = cols_.app_next[si];
@@ -275,6 +306,14 @@ Cluster::liveSlotIndex(ContainerId id, const char *who) const
     return s;
 }
 
+std::int32_t
+Cluster::liveSlotIndex(ContainerRef ref, const char *who) const
+{
+    if (!find(ref))
+        fatal(std::string(who) + ": stale container ref");
+    return ref.slot;
+}
+
 Cluster::Slot &
 Cluster::liveSlot(ContainerId id, const char *who)
 {
@@ -351,14 +390,33 @@ Cluster::setCores(ContainerId id, double cores)
 }
 
 void
-Cluster::setUtilizationCap(ContainerId id, double cap)
+Cluster::setUtilizationCapAt(std::int32_t s, double cap)
 {
-    const std::int32_t s =
-        liveSlotIndex(id, "Cluster::setUtilizationCap");
     Slot &slot = slots_[static_cast<std::size_t>(s)];
     slot.c.util_cap = clamp(cap, 0.0, 1.0);
     cols_.util_cap[static_cast<std::size_t>(s)] = slot.c.util_cap;
     markAppPowerDirty(slot.c.app);
+}
+
+void
+Cluster::setUtilizationCap(ContainerId id, double cap)
+{
+    setUtilizationCapAt(liveSlotIndex(id, "Cluster::setUtilizationCap"),
+                        cap);
+}
+
+void
+Cluster::setUtilizationCap(ContainerRef ref, double cap)
+{
+    setUtilizationCapAt(liveSlotIndex(ref, "Cluster::setUtilizationCap"),
+                        cap);
+}
+
+void
+Cluster::setPowerCap(ContainerRef ref, double cap_w)
+{
+    const std::int32_t s = liveSlotIndex(ref, "Cluster::setPowerCap");
+    setUtilizationCapAt(s, utilizationCapForPowerAt(s, cap_w));
 }
 
 void
@@ -405,11 +463,17 @@ Cluster::containerPowerW(ContainerRef ref) const
 double
 Cluster::utilizationCapForPower(ContainerId id, double cap_w) const
 {
+    return utilizationCapForPowerAt(
+        liveSlotIndex(id, "Cluster::container"), cap_w);
+}
+
+double
+Cluster::utilizationCapForPowerAt(std::int32_t slot, double cap_w) const
+{
     // ServerPowerModel::utilizationForCap over the coefficient
     // columns: idle_w/dyn_w already hold the idle-share and dynamic
     // terms it derives, with identical guards.
-    const auto s = static_cast<std::size_t>(
-        liveSlotIndex(id, "Cluster::container"));
+    const auto s = static_cast<std::size_t>(slot);
     if (cols_.cores[s] <= 0.0)
         return 0.0;
     const double dyn = cols_.dyn_w[s];
@@ -421,9 +485,20 @@ Cluster::utilizationCapForPower(ContainerId id, double cap_w) const
 double
 Cluster::maxContainerPowerW(ContainerId id) const
 {
+    return maxPowerAt(liveSlotIndex(id, "Cluster::container"));
+}
+
+double
+Cluster::maxContainerPowerW(ContainerRef ref) const
+{
+    return maxPowerAt(liveSlotIndex(ref, "Cluster::maxContainerPowerW"));
+}
+
+double
+Cluster::maxPowerAt(std::int32_t slot) const
+{
     // containerPowerW at utilization 1: idle_w + dyn_w*1 + gpu term.
-    const auto s = static_cast<std::size_t>(
-        liveSlotIndex(id, "Cluster::container"));
+    const auto s = static_cast<std::size_t>(slot);
     return (cols_.idle_w[s] + cols_.dyn_w[s] * 1.0) +
            cols_.gpu_peak_w[s] * cols_.gpu_util[s];
 }
@@ -620,6 +695,7 @@ Cluster::restoreState(const ClusterImage &image)
         n.instances += 1;
         live.push_back(static_cast<std::int32_t>(i));
     }
+    rebuildNodeBuckets();
 
     // Second pass: relink both intrusive lists by tail-append in
     // increasing-id order — exactly the order create() built them in,

@@ -295,6 +295,16 @@ class Cluster
     /** Set the cgroup utilization cap, clamped to [0, 1]. */
     void setUtilizationCap(ContainerId id, double cap);
 
+    /** Ref-addressed variant (fatal on a stale ref). */
+    void setUtilizationCap(ContainerRef ref, double cap);
+
+    /**
+     * Set the utilization cap that keeps the container's power at or
+     * below cap_w: setUtilizationCap(utilizationCapForPower(cap_w)),
+     * resolving the ref once (fatal on a stale ref).
+     */
+    void setPowerCap(ContainerRef ref, double cap_w);
+
     /** Set this tick's workload demand, clamped to [0, 1]. */
     void setDemand(ContainerId id, double demand);
 
@@ -328,6 +338,9 @@ class Cluster
 
     /** Attributed power of the container at utilization 1. */
     double maxContainerPowerW(ContainerId id) const;
+
+    /** Ref-addressed variant (fatal on a stale ref). */
+    double maxContainerPowerW(ContainerRef ref) const;
 
     /**
      * Compute work delivered by a container over a tick: effective
@@ -513,11 +526,23 @@ class Cluster
 
     int pickNode(double cores) const;
 
+    /**
+     * Move `node` into the bucket of its current instance count, out
+     * of bucket `from` (-1: out of none).
+     */
+    void rebucketNode(int node, int from);
+
+    /** Rebuild every bucket from the nodes' instance counts. */
+    void rebuildNodeBuckets();
+
     /** Slot index for a live id; -1 otherwise. O(1). */
     std::int32_t slotOf(ContainerId id) const;
 
     /** Slot index for a live id; fatal with `who` when unknown. */
     std::int32_t liveSlotIndex(ContainerId id, const char *who) const;
+
+    /** Slot index of a current ref; fatal with `who` when stale. */
+    std::int32_t liveSlotIndex(ContainerRef ref, const char *who) const;
 
     /** Slot for a live id; fatal with `who` context when unknown. */
     Slot &liveSlot(ContainerId id, const char *who);
@@ -542,12 +567,25 @@ class Cluster
                cols_.gpu_peak_w[i] * cols_.gpu_util[i];
     }
 
+    /** Slot-level kernels behind the id and ref overloads. */
+    void setUtilizationCapAt(std::int32_t s, double cap);
+    double utilizationCapForPowerAt(std::int32_t s, double cap_w) const;
+    double maxPowerAt(std::int32_t s) const;
+
     /** Refresh a slot's coefficient columns from its node's model. */
     void refreshModelCoefficients(std::int32_t s);
 
     void markAppPowerDirty(AppIndex app);
 
     std::vector<Node> nodes_;
+    /**
+     * Nodes bucketed by instance count: bucket k is a bitset of the
+     * node indices hosting k containers, node_words_ 64-bit words at
+     * [k * node_words_]. pickNode() scans the buckets upward and each
+     * bucket in index order, so it stops at the first node that fits.
+     */
+    std::vector<std::uint64_t> node_buckets_;
+    std::size_t node_words_ = 0;
     std::vector<Slot> slots_;
     HotColumns cols_; ///< slot-indexed hot columns (size == slots_)
     std::vector<std::int32_t> free_;       ///< LIFO recycled slots

@@ -19,6 +19,8 @@ EcoLib::EcoLib(Ecovisor *ecovisor, std::string app)
         fatal("EcoLib: unknown app '" + app_ + "'");
     handle_ = resolved.value();
     cop_app_ = eco_->copAppIndex(handle_);
+    ves_ = eco_->ves(handle_);
+    solar_fraction_ = ves_->share().solar_fraction;
     // Resolve the interval-query series once too: every per-tick
     // query below is then an indexed read with a cursor hint.
     power_series_ =
@@ -248,19 +250,27 @@ EcoLib::enforceCarbonRate(TimeS start_s, TimeS dt_s)
 
     double budget_w = zero_carbon_w + allowed_grid_w;
     double per_container_w = budget_w / static_cast<double>(count);
-    eco_->cluster().forEachAppContainer(
-        cop_app_, [&](const cop::Container &c) {
-            eco_->setContainerPowercap(c.id, per_container_w);
+    const cop::Cluster &cluster = eco_->cluster();
+    cluster.forEachAppContainerSlot(
+        cop_app_, [&](const cop::Container &, std::int32_t slot) {
+            eco_->setContainerPowercap(
+                    api::ContainerHandle(cop::ContainerRef{
+                        slot, cluster.slotGeneration(slot)}),
+                    per_container_w)
+                .orFatal();
         });
 }
 
 void
 EcoLib::fireNotifications()
 {
-    // One batched snapshot serves every watch below coherently.
-    const api::EnergySnapshot snap =
-        eco_->getEnergySnapshot(handle_).value();
-    double solar = snap.solar_w;
+    // The app's getSolarPower() and the grid carbon getter, read
+    // straight from the ecovisor: the same values getEnergySnapshot()
+    // reports, without building a Result per tenant per tick. Both
+    // readings are taken every tick, watched or not, so a watch
+    // registered mid-run compares against the previous tick.
+    const double solar = solar_fraction_ * eco_->siteSolarWNow();
+    const double carbon = eco_->getGridCarbon();
     if (prev_solar_w_ >= 0.0) {
         double base = std::max(prev_solar_w_, 1e-9);
         double rel = std::fabs(solar - prev_solar_w_) / base;
@@ -271,7 +281,6 @@ EcoLib::fireNotifications()
     }
     prev_solar_w_ = solar;
 
-    double carbon = snap.grid_carbon_g_per_kwh;
     if (prev_carbon_ >= 0.0) {
         double base = std::max(prev_carbon_, 1e-9);
         double rel = std::fabs(carbon - prev_carbon_) / base;
@@ -282,10 +291,9 @@ EcoLib::fireNotifications()
     }
     prev_carbon_ = carbon;
 
-    const auto &ves = *eco_->ves(handle_);
-    if (ves.hasBattery()) {
-        bool full = ves.battery().full();
-        bool empty = ves.battery().empty();
+    if (ves_->hasBattery()) {
+        const bool full = ves_->battery().full();
+        const bool empty = ves_->battery().empty();
         if (full && !prev_full_) {
             for (auto &cb : full_watch_)
                 cb();

@@ -179,6 +179,10 @@ class EcoLib
     api::AppHandle handle_;
     /** Interned COP index for allocation-free container walks. */
     cop::AppIndex cop_app_ = cop::kInvalidApp;
+    /** The app's VES (stable for the ecovisor's lifetime). */
+    const VirtualEnergySystem *ves_ = nullptr;
+    /** The app's solar share, as getSolarPower() scales by it. */
+    double solar_fraction_ = 0.0;
     /** Per-app series ids, resolved once at construction. */
     ts::SeriesId power_series_ = ts::kInvalidSeries;
     ts::SeriesId carbon_series_ = ts::kInvalidSeries;

@@ -313,15 +313,11 @@ Ecovisor::setContainerPowercap(ContainerHandle c, double cap_w)
         return Status::error(ErrorCode::InvalidArgument,
                              "Ecovisor::setContainerPowercap: negative "
                              "cap");
-    const cop::ContainerId id = ct->id;
-    if (std::isinf(cap_w)) {
-        powercaps_w_.erase(id);
-        cluster_->setUtilizationCap(id, 1.0);
-        return Status::okStatus();
-    }
-    powercaps_w_[id] = cap_w;
-    cluster_->setUtilizationCap(
-        id, cluster_->utilizationCapForPower(id, cap_w));
+    putCap(c.ref(), ct->id, cap_w);
+    if (std::isinf(cap_w))
+        cluster_->setUtilizationCap(c.ref(), 1.0);
+    else
+        cluster_->setPowerCap(c.ref(), cap_w);
     return Status::okStatus();
 }
 
@@ -345,6 +341,35 @@ Ecovisor::applyCapBatch(const api::CapBatch &batch)
     return Status::okStatus();
 }
 
+const Ecovisor::SlotCap *
+Ecovisor::capOf(cop::ContainerRef ref, cop::ContainerId id) const
+{
+    const auto s = static_cast<std::size_t>(ref.slot);
+    if (s >= slot_caps_.size() || slot_caps_[s].id != id)
+        return nullptr;
+    return &slot_caps_[s];
+}
+
+void
+Ecovisor::putCap(cop::ContainerRef ref, cop::ContainerId id, double cap_w)
+{
+    const auto s = static_cast<std::size_t>(ref.slot);
+    if (std::isinf(cap_w)) {
+        if (s < slot_caps_.size() && slot_caps_[s].id == id)
+            slot_caps_[s].id = cop::kInvalidContainer;
+        return;
+    }
+    if (s >= slot_caps_.size())
+        slot_caps_.resize(s + 1);
+    SlotCap &e = slot_caps_[s];
+    // The slot still holds its previous occupant's cap (that container
+    // died after the last settlement): keep it on the books until the
+    // next settlement, exactly as an id-keyed table would.
+    if (e.id != cop::kInvalidContainer && e.id != id)
+        displaced_caps_.emplace_back(e.id, e.cap_w);
+    e = SlotCap{id, ref.generation, cap_w};
+}
+
 void
 Ecovisor::commitStagedCaps()
 {
@@ -354,15 +379,13 @@ Ecovisor::commitStagedCaps()
         // the generation check also skips a recycled slot, so a cap
         // staged for a dead container can never leak onto its
         // successor.
-        const cop::Container *ct = cluster_->find(req.container.ref());
+        const cop::ContainerRef ref = req.container.ref();
+        const cop::Container *ct = cluster_->find(ref);
         if (!ct)
             continue;
-        if (std::isinf(req.cap_w)) {
-            powercaps_w_.erase(ct->id);
-            cluster_->setUtilizationCap(ct->id, 1.0);
-        } else {
-            powercaps_w_[ct->id] = req.cap_w;
-        }
+        putCap(ref, ct->id, req.cap_w);
+        if (std::isinf(req.cap_w))
+            cluster_->setUtilizationCap(ref, 1.0);
     }
     staged_caps_.clear();
 }
@@ -449,8 +472,8 @@ Ecovisor::getContainerPowercap(ContainerHandle c) const
         return Status::error(ErrorCode::UnknownContainer,
                              "Ecovisor::getContainerPowercap: unknown "
                              "container");
-    auto it = powercaps_w_.find(ct->id);
-    return it == powercaps_w_.end() ? kUnlimitedW : it->second;
+    const SlotCap *cap = capOf(c.ref(), ct->id);
+    return cap ? cap->cap_w : kUnlimitedW;
 }
 
 Result<double>
@@ -658,11 +681,25 @@ Ecovisor::getBatteryChargeLevel(const std::string &app) const
 double
 Ecovisor::getContainerPowercap(cop::ContainerId id) const
 {
-    // Seed semantics: unknown or revoked containers read as uncapped
-    // (the edge tests rely on this after container churn), so this
-    // shim does not route through the checked v2 getter.
-    auto it = powercaps_w_.find(id);
-    return it == powercaps_w_.end() ? kUnlimitedW : it->second;
+    // Seed semantics: unknown containers read as uncapped (the edge
+    // tests rely on this after container churn), so this shim does
+    // not route through the checked v2 getter. A container destroyed
+    // since the last settlement still answers with its cap until that
+    // settlement prunes it.
+    const cop::ContainerRef ref = cluster_->refOf(id);
+    if (ref.valid()) {
+        const SlotCap *cap = capOf(ref, id);
+        return cap ? cap->cap_w : kUnlimitedW;
+    }
+    if (id == cop::kInvalidContainer)
+        return kUnlimitedW;
+    for (const SlotCap &e : slot_caps_)
+        if (e.id == id)
+            return e.cap_w;
+    for (const auto &[dead, cap_w] : displaced_caps_)
+        if (dead == id)
+            return cap_w;
+    return kUnlimitedW;
 }
 
 double
@@ -729,15 +766,19 @@ Ecovisor::dispatchTickCallbacks(TimeS start_s, TimeS dt_s)
 void
 Ecovisor::applyPowercaps()
 {
-    for (auto it = powercaps_w_.begin(); it != powercaps_w_.end();) {
-        if (!cluster_->exists(it->first)) {
-            it = powercaps_w_.erase(it);
+    // Re-apply every cap (allocations may have changed this tick) and
+    // drop the caps of containers destroyed since the last settlement.
+    displaced_caps_.clear();
+    for (std::size_t s = 0; s < slot_caps_.size(); ++s) {
+        SlotCap &e = slot_caps_[s];
+        if (e.id == cop::kInvalidContainer)
             continue;
-        }
-        cluster_->setUtilizationCap(
-            it->first,
-            cluster_->utilizationCapForPower(it->first, it->second));
-        ++it;
+        const cop::ContainerRef ref{static_cast<std::int32_t>(s),
+                                    e.generation};
+        if (cluster_->find(ref))
+            cluster_->setPowerCap(ref, e.cap_w);
+        else
+            e.id = cop::kInvalidContainer;
     }
 }
 
@@ -784,14 +825,14 @@ Ecovisor::applyEmergencyCaps(double site_solar_w, TimeS dt_s)
             continue;
         const double scale = avail_w / demand_w;
         any_capped = true;
-        cluster_->forEachAppContainer(
-            st.cop_app, [&](const cop::Container &c) {
+        cluster_->forEachAppContainerSlot(
+            st.cop_app, [&](const cop::Container &c, std::int32_t slot) {
                 const double target_w =
                     cluster_->containerPowerW(c) * scale;
-                cluster_->setUtilizationCap(
-                    c.id,
-                    cluster_->utilizationCapForPower(c.id, target_w));
-                emergency_capped_.push_back(c.id);
+                const cop::ContainerRef ref{
+                    slot, cluster_->slotGeneration(slot)};
+                cluster_->setPowerCap(ref, target_w);
+                emergency_capped_.push_back({ref, c.id});
             });
     }
     return any_capped;
@@ -800,14 +841,14 @@ Ecovisor::applyEmergencyCaps(double site_solar_w, TimeS dt_s)
 void
 Ecovisor::clearEmergencyCaps()
 {
-    for (cop::ContainerId id : emergency_capped_) {
-        if (!cluster_->exists(id))
+    for (const EmergencyCap &e : emergency_capped_) {
+        if (!cluster_->find(e.ref))
             continue;
         // Containers with a tenant powercap got it re-applied this
         // tick by applyPowercaps(); only the rest revert to uncapped.
-        if (powercaps_w_.count(id))
+        if (capOf(e.ref, e.id))
             continue;
-        cluster_->setUtilizationCap(id, 1.0);
+        cluster_->setUtilizationCap(e.ref, 1.0);
     }
     emergency_capped_.clear();
 }
@@ -967,10 +1008,14 @@ Ecovisor::captureState() const
         ai.ves = st.ves->captureState();
         img.apps.push_back(std::move(ai));
     }
-    img.powercaps.reserve(powercaps_w_.size());
-    for (const auto &[id, cap_w] : powercaps_w_)
-        img.powercaps.emplace_back(id, cap_w);
-    img.emergency_capped = emergency_capped_;
+    img.powercaps = displaced_caps_;
+    for (const SlotCap &e : slot_caps_)
+        if (e.id != cop::kInvalidContainer)
+            img.powercaps.emplace_back(e.id, e.cap_w);
+    std::sort(img.powercaps.begin(), img.powercaps.end());
+    img.emergency_capped.reserve(emergency_capped_.size());
+    for (const EmergencyCap &e : emergency_capped_)
+        img.emergency_capped.push_back(e.id);
     img.degraded_ticks = degraded_ticks_;
     img.slo_violation_ticks = slo_violation_ticks_;
     img.unserved_wh = unserved_wh_;
@@ -999,10 +1044,25 @@ Ecovisor::restoreState(const EcovisorImage &image)
         apps_[static_cast<std::size_t>(r.value().index())]
             .ves->restoreState(ai.ves);
     }
-    powercaps_w_.clear();
-    for (const auto &[id, cap_w] : image.powercaps)
-        powercaps_w_.emplace(id, cap_w);
-    emergency_capped_ = image.emergency_capped;
+    // Caps of live containers go back on their slots; those of
+    // containers destroyed before the capture (not yet pruned) keep
+    // their place on the books until the next settlement.
+    slot_caps_.clear();
+    displaced_caps_.clear();
+    for (const auto &[id, cap_w] : image.powercaps) {
+        const cop::ContainerRef ref = cluster_->refOf(id);
+        if (!ref.valid()) {
+            displaced_caps_.emplace_back(id, cap_w);
+            continue;
+        }
+        const auto s = static_cast<std::size_t>(ref.slot);
+        if (s >= slot_caps_.size())
+            slot_caps_.resize(s + 1);
+        slot_caps_[s] = SlotCap{id, ref.generation, cap_w};
+    }
+    emergency_capped_.clear();
+    for (cop::ContainerId id : image.emergency_capped)
+        emergency_capped_.push_back({cluster_->refOf(id), id});
     degraded_ticks_ = image.degraded_ticks;
     slo_violation_ticks_ = image.slo_violation_ticks;
     unserved_wh_ = image.unserved_wh;

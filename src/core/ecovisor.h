@@ -137,7 +137,8 @@ struct EcovisorImage
         VesImage ves;         ///< runtime state of the app's VES
     };
     std::vector<AppImage> apps; ///< registration (handle-index) order
-    /** Powercap map entries in key order (container id ascending). */
+    /** Tenant caps by container id, ascending (a container destroyed
+     *  since the last settlement keeps its entry until then). */
     std::vector<std::pair<cop::ContainerId, double>> powercaps;
     std::vector<cop::ContainerId> emergency_capped;
     std::int64_t degraded_ticks = 0;
@@ -464,6 +465,14 @@ class Ecovisor
     /** Options in effect. */
     const EcovisorOptions &options() const { return options_; }
 
+    /**
+     * Current site solar reading, watts: live (and derated) normally,
+     * the last settled value during a sensor blackout. An app's
+     * getSolarPower() is its solar fraction times this; EcoLib's
+     * per-tick upcall reads it directly, with no Result to build.
+     */
+    double siteSolarWNow() const;
+
     // ------------------------------------------------------------------
     // Checkpoint/restore (src/ckpt/, docs/CHECKPOINT.md).
     // ------------------------------------------------------------------
@@ -537,6 +546,27 @@ class Ecovisor
 
     /** Fatal-on-unknown name resolution for the v1 shims. */
     const AppState &appState(const std::string &app) const;
+
+    /**
+     * A tenant power cap, kept on the capped container's slab slot:
+     * the container it was set for (its id, kInvalidContainer when the
+     * slot holds no cap, and its generation) and the cap. The id makes
+     * a recycled slot's new occupant read as uncapped, and lets a cap
+     * outlive its container until the next settlement prunes it, as
+     * the v1 id getter and captureState() expect.
+     */
+    struct SlotCap
+    {
+        cop::ContainerId id = cop::kInvalidContainer;
+        std::uint32_t generation = 0;
+        double cap_w = 0.0;
+    };
+
+    /** The cap of live container `id` at `ref`; nullptr when uncapped. */
+    const SlotCap *capOf(cop::ContainerRef ref, cop::ContainerId id) const;
+
+    /** Record (kUnlimitedW: lift) the cap of live container `id`. */
+    void putCap(cop::ContainerRef ref, cop::ContainerId id, double cap_w);
 
     void commitStagedCaps();
     void applyPowercaps();
@@ -619,12 +649,6 @@ class Ecovisor
     /** Lift emergency caps (outage over), restoring tenant caps. */
     void clearEmergencyCaps();
 
-    /**
-     * Current site solar reading for getters: live (and derated)
-     * normally, the last settled value during a sensor blackout.
-     */
-    double siteSolarWNow() const;
-
     /** Current grid carbon intensity reading (same blackout rule). */
     double gridCarbonNow() const;
 
@@ -645,7 +669,14 @@ class Ecovisor
      */
     std::map<std::string, std::int32_t, std::less<>> index_;
 
-    std::map<cop::ContainerId, double> powercaps_w_;
+    /** Slot-indexed tenant caps, grown to the highest capped slot. */
+    std::vector<SlotCap> slot_caps_;
+    /**
+     * Caps of destroyed containers whose slot was re-capped for a new
+     * occupant before the next settlement: still on the books (v1
+     * getter, captureState) until that settlement drops them.
+     */
+    std::vector<std::pair<cop::ContainerId, double>> displaced_caps_;
     /** Caps staged by applyCapBatch(), committed at settlement. */
     std::vector<api::CapRequest> staged_caps_;
 
@@ -659,7 +690,12 @@ class Ecovisor
     double last_site_solar_w_ = 0.0;
     double last_intensity_ = 0.0;
     /** Containers emergency-capped by the current outage. */
-    std::vector<cop::ContainerId> emergency_capped_;
+    struct EmergencyCap
+    {
+        cop::ContainerRef ref;
+        cop::ContainerId id; ///< kept for captureState()
+    };
+    std::vector<EmergencyCap> emergency_capped_;
     std::int64_t degraded_ticks_ = 0;
     std::int64_t slo_violation_ticks_ = 0;
     double unserved_wh_ = 0.0;

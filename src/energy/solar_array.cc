@@ -29,16 +29,7 @@ SolarArray::SolarArray(std::vector<Point> points, TimeS period_s)
 double
 SolarArray::powerAt(TimeS t) const
 {
-    t %= period_s_;
-    if (t < 0)
-        t += period_s_;
-    auto it = std::upper_bound(points_.begin(), points_.end(), t,
-                               [](TimeS v, const Point &p) {
-                                   return v < p.time_s;
-                               });
-    if (it == points_.begin())
-        return points_.front().power_w * scale_;
-    return (it - 1)->power_w * scale_;
+    return points_[lookup_.find(points_, t, period_s_)].power_w * scale_;
 }
 
 void

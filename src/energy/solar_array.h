@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/step_lookup.h"
 #include "util/units.h"
 
 namespace ecov::energy {
@@ -62,6 +63,7 @@ class SolarArray
     std::vector<Point> points_;
     TimeS period_s_;
     double scale_ = 1.0;
+    StepLookup lookup_;
 };
 
 /** Parameters for the synthetic irradiance generator. */

@@ -1,7 +1,6 @@
 #include "policies/solar_cap.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/logging.h"
 
@@ -25,15 +24,15 @@ StaticSolarCapPolicy::onTick(TimeS start_s, TimeS dt_s)
     (void)dt_s;
     if (job_->done())
         return;
-    auto containers = job_->containers();
-    if (containers.empty())
+    const std::size_t n = job_->workerCount();
+    if (n == 0)
         return;
     // Immediate caps (not a settlement-staged CapBatch): the workload
     // phase of this same tick must already run under them.
     double budget_w = eco_->getSolarPower(handle_).value();
-    double per_w = budget_w / static_cast<double>(containers.size());
-    for (cop::ContainerId id : containers)
-        eco_->setContainerPowercap(api::handleOf(eco_->cluster(), id), per_w)
+    double per_w = budget_w / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i)
+        eco_->setContainerPowercap(job_->worker(i).container, per_w)
             .orFatal();
 }
 
@@ -53,40 +52,47 @@ double
 DynamicSolarCapPolicy::distribute(TimeS start_s)
 {
     (void)start_s;
-    auto status = job_->status();
-    if (status.empty())
+    const std::size_t n = job_->workerCount();
+    if (n == 0)
         return 0.0;
     double budget_w = eco_->getSolarPower(handle_).value();
 
-    // Pass 1: waiting workers get the I/O trickle.
-    std::vector<cop::ContainerId> busy;
-    for (const auto &w : status) {
+    // Pass 1: waiting workers get the I/O trickle; count the busy
+    // containers (computing workers and their replicas).
+    std::size_t busy = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const wl::StragglerJob::WorkerView w = job_->worker(i);
         if (w.computing) {
-            busy.push_back(w.id);
-            if (w.has_replica)
-                busy.push_back(w.replica_id);
+            busy += w.hasReplica() ? 2 : 1;
         } else {
-            eco_->setContainerPowercap(api::handleOf(eco_->cluster(), w.id),
-                                       config_.io_power_w)
+            eco_->setContainerPowercap(w.container, config_.io_power_w)
                 .orFatal();
             budget_w -= config_.io_power_w;
         }
     }
     budget_w = std::max(0.0, budget_w);
 
-    if (busy.empty())
+    if (busy == 0)
         return budget_w;
 
     // Pass 2: computing containers split the remainder, clamped at
-    // each container's full-power draw; leftover is spare.
-    double per_w = budget_w / static_cast<double>(busy.size());
+    // each container's full-power draw; leftover is spare. Workers in
+    // order, each primary before its replica.
+    const double per_w = budget_w / static_cast<double>(busy);
     double spare_w = 0.0;
-    for (cop::ContainerId id : busy) {
-        double full_w = eco_->cluster().maxContainerPowerW(id);
-        double cap = std::min(per_w, full_w);
-        eco_->setContainerPowercap(api::handleOf(eco_->cluster(), id), cap)
-            .orFatal();
+    auto grant = [&](api::ContainerHandle c) {
+        const double full_w = eco_->cluster().maxContainerPowerW(c.ref());
+        const double cap = std::min(per_w, full_w);
+        eco_->setContainerPowercap(c, cap).orFatal();
         spare_w += per_w - cap;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        const wl::StragglerJob::WorkerView w = job_->worker(i);
+        if (!w.computing)
+            continue;
+        grant(w.container);
+        if (w.hasReplica())
+            grant(w.replica);
     }
     return spare_w;
 }
@@ -115,10 +121,11 @@ StragglerMitigationPolicy::onTick(TimeS start_s, TimeS dt_s)
         return;
 
     // Spend spare solar on replicas for the slowest computing tasks.
-    auto status = job_->status();
-    double full_w = status.empty()
-        ? 0.0
-        : eco_->cluster().maxContainerPowerW(status.front().id);
+    const std::size_t n = job_->workerCount();
+    double full_w =
+        n == 0 ? 0.0
+               : eco_->cluster().maxContainerPowerW(
+                     job_->worker(0).container.ref());
     double spare_w = distribute(start_s);
 
     int issued = 0;
@@ -127,9 +134,9 @@ StragglerMitigationPolicy::onTick(TimeS start_s, TimeS dt_s)
         // Pick the slowest computing worker without a replica.
         int slowest = -1;
         double slowest_progress = 2.0;
-        for (std::size_t i = 0; i < status.size(); ++i) {
-            const auto &w = status[i];
-            if (w.computing && !w.has_replica &&
+        for (std::size_t i = 0; i < n; ++i) {
+            const wl::StragglerJob::WorkerView w = job_->worker(i);
+            if (w.computing && !w.hasReplica() &&
                 w.round_progress < slowest_progress) {
                 slowest = static_cast<int>(i);
                 slowest_progress = w.round_progress;
@@ -141,7 +148,6 @@ StragglerMitigationPolicy::onTick(TimeS start_s, TimeS dt_s)
             break;
         spare_w -= full_w;
         ++issued;
-        status = job_->status();
     }
 
     // Re-distribute so fresh replicas receive caps this tick.

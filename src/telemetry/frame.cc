@@ -4,6 +4,28 @@
 
 namespace ecov::ts {
 
+void
+FrameChunk::widen(std::size_t cols)
+{
+    constexpr auto kBlock = static_cast<std::size_t>(kBlockCols * kChunkRows);
+    std::size_t need = cols * static_cast<std::size_t>(kChunkRows);
+    auto fit = [&](std::vector<double> &v) {
+        const std::size_t n = std::min(need, kBlock);
+        v.reserve(kBlock);
+        if (v.size() < n)
+            v.resize(n);
+        need -= n;
+    };
+    fit(values);
+    if (!shared)
+        shared = std::make_unique<Shared>();
+    for (std::size_t b = 0; need > 0; ++b) {
+        if (b == shared->blocks.size())
+            shared->blocks.emplace_back();
+        fit(shared->blocks[b]);
+    }
+}
+
 bool
 Frame::isLowerBound(TimeS t, std::int64_t hint) const
 {
@@ -55,7 +77,8 @@ Frame::pushChunk()
     spare_ = FrameChunk{};
     FrameChunk &c = chunks_.back();
     c.time.clear();
-    c.owners.clear();
+    if (c.shared)
+        c.shared->owners.clear();
     c.holders = 0;
     return c;
 }
@@ -74,9 +97,16 @@ Frame::memoryBytes() const
 {
     std::size_t bytes = chunks_.capacity() * sizeof(FrameChunk);
     auto columnBytes = [](const FrameChunk &c) {
-        return c.time.capacity() * sizeof(TimeS) +
-               c.values.capacity() * sizeof(double) +
-               c.owners.capacity() * sizeof(std::int32_t);
+        std::size_t b = c.time.capacity() * sizeof(TimeS) +
+                         c.values.capacity() * sizeof(double);
+        if (const FrameChunk::Shared *sh = c.shared.get()) {
+            b += sizeof(*sh) +
+                 sh->blocks.capacity() * sizeof(sh->blocks[0]) +
+                 sh->owners.capacity() * sizeof(std::int32_t);
+            for (const std::vector<double> &blk : sh->blocks)
+                b += blk.capacity() * sizeof(double);
+        }
+        return b;
     };
     for (const FrameChunk &c : chunks_)
         bytes += columnBytes(c);

@@ -4,9 +4,11 @@
  *
  * A Frame stores rows in fixed chunks of kChunkRows. Each chunk holds
  * one time column shared by all of its columns and one contiguous
- * `double` column per series, column-major (`values[col * kChunkRows +
- * row]`), so writing one row touches one time slot plus one slot per
- * column, and a query walks one column as runs of contiguous doubles.
+ * `double` column per series, column-major in blocks of kBlockCols
+ * columns (FrameChunk::column), so writing one row touches one time
+ * slot plus one slot per column, a query walks one column as runs of
+ * contiguous doubles, and a column joining a chunk never moves the
+ * columns already in it.
  *
  * A frame has one of two kinds of owner:
  *  - the TsDatabase, whose shared frame records one row per tick with
@@ -27,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "telemetry/retention.h"
@@ -37,21 +40,49 @@ namespace ecov::ts {
 /** Rows per chunk; also the default RetentionConfig::seal_batch. */
 inline constexpr std::int64_t kChunkRows = 64;
 
+/** Columns per value block of a shared frame's chunk. */
+inline constexpr std::int64_t kBlockCols = 64;
+
 /** One chunk of kChunkRows rows. */
 struct FrameChunk
 {
     /** Times of the rows written so far (one entry per row). */
     std::vector<TimeS> time;
-    /** Column-major values: values[col * kChunkRows + row]; a private
-     *  frame's single column is filled by push_back instead. */
+    /**
+     * Column-major values in blocks of kBlockCols columns: block 0 is
+     * `values`, block b > 0 is shared->blocks[b - 1], and column col's
+     * rows start at column(col). Each block is allocated for all of
+     * its columns at once (widen), so a join never copies a column. A
+     * private frame's single column is `values`, filled by push_back.
+     */
     std::vector<double> values;
-    /** Every series with a column in this chunk of a shared frame.
-     *  A column ended mid-chunk can pass to a series that joins later
-     *  in it: their rows are disjoint. */
-    std::vector<std::int32_t> owners;
+    /** The parts only a shared frame's chunk has (null otherwise, so a
+     *  private series' chunk stays small). */
+    struct Shared
+    {
+        /** Value blocks 1, 2, ... */
+        std::vector<std::vector<double>> blocks;
+        /** Every series with a column in this chunk. A column ended
+         *  mid-chunk can pass to a series that joins later in it:
+         *  their rows are disjoint. */
+        std::vector<std::int32_t> owners;
+    };
+    std::unique_ptr<Shared> shared;
     /** Live series still holding hot rows here (shared frame); the
      *  chunk can be retired once this reaches 0. */
     std::int32_t holders = 0;
+
+    /** First row of column `col`. */
+    const double *
+    column(std::int32_t col) const
+    {
+        const auto b = static_cast<std::size_t>(col / kBlockCols);
+        return (b == 0 ? values.data() : shared->blocks[b - 1].data()) +
+               (col % kBlockCols) * kChunkRows;
+    }
+
+    /** Make room for columns [0, cols) of a shared frame. */
+    void widen(std::size_t cols);
 };
 
 /**
@@ -108,8 +139,7 @@ class Frame
     double
     value(std::int32_t col, std::int64_t row) const
     {
-        return chunkOf(row).values[static_cast<std::size_t>(
-            col * kChunkRows + row % kChunkRows)];
+        return chunkOf(row).column(col)[row % kChunkRows];
     }
 
     /**
@@ -152,8 +182,7 @@ class Frame
             const FrameChunk &c = chunkOf(a);
             const std::int64_t off = a % kChunkRows;
             const std::int64_t n = std::min(b - a, kChunkRows - off);
-            if (!f(c.time.data() + off,
-                   c.values.data() + col * kChunkRows + off,
+            if (!f(c.time.data() + off, c.column(col) + off,
                    static_cast<std::size_t>(n)))
                 return;
             a += n;

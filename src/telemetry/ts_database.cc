@@ -121,12 +121,10 @@ TsDatabase::join(SeriesId id)
     // row; otherwise the next openChunk() carries the column in.
     if (row_ >= 0 || frame_->rows() % kChunkRows != 0) {
         FrameChunk &ch = frame_->back();
-        if (ch.values.size() <= c * kChunkRows)
-            ch.values.resize((c + 1) * kChunkRows);
-        ch.owners.push_back(id);
+        ch.widen(c + 1);
+        ch.shared->owners.push_back(id);
         ++ch.holders;
-        row_values_ =
-            ch.values.data() + frame_->rows() % kChunkRows;
+        pointRow(ch);
     }
 }
 
@@ -139,14 +137,22 @@ TsDatabase::openChunk()
     FrameChunk &ch = frame_->pushChunk();
     const std::size_t width = col_owner_.size();
     ch.time.reserve(kChunkRows);
+    ch.widen(width);
     for (const SeriesId id : col_owner_)
         if (id >= 0)
-            ch.owners.push_back(id);
-    // A little headroom for series born in this chunk beyond the
-    // free columns, so their join rarely moves the column block.
-    ch.values.reserve((width + width / 16 + 16) * kChunkRows);
-    ch.values.resize(width * kChunkRows);
+            ch.shared->owners.push_back(id);
     ch.holders = live_;
+}
+
+void
+TsDatabase::pointRow(FrameChunk &ch)
+{
+    const std::int64_t off = frame_->rows() % kChunkRows;
+    auto &blocks = ch.shared->blocks;
+    row_blocks_.resize(blocks.size() + 1);
+    row_blocks_[0] = ch.values.data() + off;
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+        row_blocks_[b + 1] = blocks[b].data() + off;
 }
 
 void
@@ -163,7 +169,7 @@ TsDatabase::beginRow(TimeS time_s)
     ch.time.push_back(time_s);
     row_ = r;
     row_time_ = time_s;
-    row_values_ = ch.values.data() + r % kChunkRows;
+    pointRow(ch);
 }
 
 void
@@ -275,7 +281,7 @@ TsDatabase::retireChunks()
     while (frame_->chunkCount() > 1 && frame_->front().holders == 0) {
         const FrameChunk &ch = frame_->front();
         const std::int64_t chunk_end = frame_->baseRow() + kChunkRows;
-        for (const SeriesId id : ch.owners) {
+        for (const SeriesId id : ch.shared->owners) {
             TimeSeries &s = slab_[static_cast<std::size_t>(id)];
             if (!s.owns_ && s.frame_ == frame_.get() &&
                 s.first_ < chunk_end && s.first_ < s.end())
@@ -351,7 +357,7 @@ TsDatabase::clear()
     free_cols_.clear();
     live_ = 0;
     row_ = -1;
-    row_values_ = nullptr;
+    row_blocks_.clear();
 }
 
 } // namespace ecov::ts

@@ -175,7 +175,8 @@ class TsDatabase
             slab_[static_cast<std::size_t>(id)].append(row_time_, value);
             return;
         }
-        row_values_[col * kChunkRows] = value;
+        const auto c = static_cast<std::size_t>(col);
+        row_blocks_[c / kBlockCols][(c % kBlockCols) * kChunkRows] = value;
         stamp_[static_cast<std::size_t>(col)] = row_;
     }
 
@@ -266,6 +267,9 @@ class TsDatabase
 
     /** A new chunk for row frame_->rows(), carrying the live columns. */
     void openChunk();
+
+    /** Point row_blocks_ at the next row of the open chunk `ch`. */
+    void pointRow(FrameChunk &ch);
     /** End column `col`'s series at row `end` (exclusive). */
     void endColumn(std::int32_t col, std::int64_t end);
     /** End a joined series' column so it can take private appends. */
@@ -307,11 +311,12 @@ class TsDatabase
     std::vector<std::int32_t> free_cols_;
     /** Live columns (the next chunk's holders). */
     std::int32_t live_ = 0;
-    /** The row in progress (-1 between rows), its time and the
-     *  address of its value in column 0. */
+    /** The row in progress (-1 between rows), its time and, per value
+     *  block of the open chunk, the address of the row's value in the
+     *  block's first column. */
     std::int64_t row_ = -1;
     TimeS row_time_ = 0;
-    double *row_values_ = nullptr;
+    std::vector<double *> row_blocks_;
 
     static const TimeSeries empty_;
 };

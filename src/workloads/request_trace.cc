@@ -27,16 +27,7 @@ RequestTrace::RequestTrace(std::vector<Point> points, TimeS period_s)
 double
 RequestTrace::rateAt(TimeS t) const
 {
-    t %= period_s_;
-    if (t < 0)
-        t += period_s_;
-    auto it = std::upper_bound(points_.begin(), points_.end(), t,
-                               [](TimeS v, const Point &p) {
-                                   return v < p.time_s;
-                               });
-    if (it == points_.begin())
-        return points_.front().rps;
-    return (it - 1)->rps;
+    return points_[lookup_.find(points_, t, period_s_)].rps;
 }
 
 double

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/step_lookup.h"
 #include "util/units.h"
 
 namespace ecov::wl {
@@ -63,6 +64,7 @@ class RequestTrace
   private:
     std::vector<Point> points_;
     TimeS period_s_;
+    StepLookup lookup_;
 };
 
 /** Generate a trace from a configuration. */

@@ -50,6 +50,7 @@ StragglerJob::start(TimeS now_s)
         if (!id)
             fatal("StragglerJob: cluster cannot host all workers");
         w.id = *id;
+        w.handle = api::handleOf(*cluster_, *id);
     }
     beginRound();
 }
@@ -74,23 +75,9 @@ StragglerJob::destroyReplica(Worker &w)
         if (cluster_->exists(w.replica_id))
             cluster_->destroyContainer(w.replica_id);
         w.replica_id = cop::kInvalidContainer;
+        w.replica_handle = api::ContainerHandle{};
         w.replica_progress = 0.0;
     }
-}
-
-std::vector<StragglerJob::WorkerStatus>
-StragglerJob::status() const
-{
-    std::vector<WorkerStatus> out;
-    out.reserve(workers_.size());
-    for (const auto &w : workers_) {
-        out.push_back(WorkerStatus{
-            w.id, !w.round_done,
-            std::min(1.0, w.progress / config_.round_work),
-            w.rate_mult < 1.0, w.replica_id != cop::kInvalidContainer,
-            w.replica_id});
-    }
-    return out;
 }
 
 bool
@@ -107,6 +94,7 @@ StragglerJob::addReplica(int worker_idx)
     if (!id)
         return false;
     w.replica_id = *id;
+    w.replica_handle = api::handleOf(*cluster_, *id);
     w.replica_progress = 0.0;
     ++replicas_issued_;
     return true;

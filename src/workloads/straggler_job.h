@@ -21,6 +21,7 @@
 #ifndef ECOV_WORKLOADS_STRAGGLER_JOB_H
 #define ECOV_WORKLOADS_STRAGGLER_JOB_H
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,23 +48,12 @@ struct StragglerJobConfig
 };
 
 /**
- * The job. Policies inspect per-worker status and may set power caps
- * (through the ecovisor) or request replicas.
+ * The job. Policies inspect each worker (worker()) and may set power
+ * caps (through the ecovisor) or request replicas.
  */
 class StragglerJob
 {
   public:
-    /** Per-worker view exposed to policies. */
-    struct WorkerStatus
-    {
-        cop::ContainerId id;            ///< primary container
-        bool computing;                 ///< still working this round
-        double round_progress;          ///< fraction of round done
-        bool straggling;                ///< injected straggler
-        bool has_replica;               ///< replica currently running
-        cop::ContainerId replica_id;    ///< replica container or -1
-    };
-
     /**
      * @param cluster borrowed COP
      * @param config job parameters
@@ -93,8 +83,33 @@ class StragglerJob
     /** Start time. */
     TimeS startTime() const { return start_s_; }
 
-    /** Per-worker status snapshot. */
-    std::vector<WorkerStatus> status() const;
+    /**
+     * One worker as policies see it: its containers as v2 handles,
+     * resolved once when they were created, so a policy can cap them
+     * with no id lookup and no allocation per tick.
+     */
+    struct WorkerView
+    {
+        api::ContainerHandle container; ///< primary
+        api::ContainerHandle replica;   ///< invalid when none
+        bool computing;                 ///< still working this round
+        double round_progress;          ///< fraction of round done
+
+        /** True while a replica is running. */
+        bool hasReplica() const { return replica.valid(); }
+    };
+
+    /** Number of workers (0 before start()). */
+    std::size_t workerCount() const { return workers_.size(); }
+
+    /** The current view of worker `i` (< workerCount()). */
+    WorkerView
+    worker(std::size_t i) const
+    {
+        const Worker &w = workers_[i];
+        return WorkerView{w.handle, w.replica_handle, !w.round_done,
+                          std::min(1.0, w.progress / config_.round_work)};
+    }
 
     /**
      * Issue a replica for a worker's current-round task. No-op when
@@ -110,13 +125,6 @@ class StragglerJob
     /** Primary container ids (replicas excluded). */
     std::vector<cop::ContainerId> containers() const;
 
-    /** Primary containers as typed v2 handles (replicas excluded). */
-    std::vector<api::ContainerHandle>
-    containerHandles() const
-    {
-        return api::wrapContainers(*cluster_, containers());
-    }
-
     /** Advance one tick. */
     void onTick(TimeS start_s, TimeS dt_s);
 
@@ -129,6 +137,8 @@ class StragglerJob
         bool round_done = false;
         cop::ContainerId replica_id = cop::kInvalidContainer;
         double replica_progress = 0.0;
+        api::ContainerHandle handle;         ///< of id
+        api::ContainerHandle replica_handle; ///< of replica_id
     };
 
     void beginRound();

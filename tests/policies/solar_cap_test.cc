@@ -81,7 +81,7 @@ TEST(DynamicSolarCapPolicy, ShiftsPowerToBusyWorkers)
     rig.cluster.setUtilizationCap(ids[1], 0.0);
     // Give the other two a lot of ticks to complete their 240 cs.
     TimeS t = 60;
-    while (!job.status()[2].computing ? false : true) {
+    while (job.worker(2).computing) {
         job.onTick(t, 60);
         t += 60;
         if (t > 60 * 60)
@@ -89,14 +89,16 @@ TEST(DynamicSolarCapPolicy, ShiftsPowerToBusyWorkers)
     }
     // Now re-run the policy with a mixed busy/waiting population the
     // job reports; waiting workers get only the I/O trickle.
-    auto st = job.status();
+    std::vector<wl::StragglerJob::WorkerView> st;
+    for (std::size_t i = 0; i < job.workerCount(); ++i)
+        st.push_back(job.worker(i));
     int busy = 0;
     for (const auto &w : st)
         busy += w.computing ? 1 : 0;
     if (busy > 0 && busy < 4) {
         policy.onTick(t, 60);
         for (const auto &w : st) {
-            double cap = rig.eco.getContainerPowercap(w.id);
+            double cap = rig.eco.getContainerPowercap(w.container).value();
             if (!w.computing)
                 EXPECT_NEAR(cap, 0.4, 1e-9); // io_power_w default
             else

@@ -89,9 +89,8 @@ TEST(StragglerJob, WaitingWorkersDropToIoDemand)
     cluster.setUtilizationCap(ids[0], 0.25);
     job.onTick(0, 60);
     job.onTick(60, 60); // worker 1 done (120 cs), worker 0 at 30 cs
-    auto st = job.status();
-    EXPECT_TRUE(st[0].computing);
-    EXPECT_FALSE(st[1].computing);
+    EXPECT_TRUE(job.worker(0).computing);
+    EXPECT_FALSE(job.worker(1).computing);
     job.onTick(120, 60);
     EXPECT_NEAR(cluster.container(ids[1]).demand, cfg.io_demand, 1e-9);
 }
@@ -138,8 +137,8 @@ TEST(StragglerJob, ReplicaContainersAreCleanedUp)
         ASSERT_LT(t, 100000);
     }
     // Replicas destroyed at round end.
-    for (const auto &st : job.status())
-        EXPECT_FALSE(st.has_replica);
+    for (std::size_t i = 0; i < job.workerCount(); ++i)
+        EXPECT_FALSE(job.worker(i).hasReplica());
 }
 
 TEST(StragglerJob, AddReplicaOnFinishedWorkerIsNoop)
@@ -154,8 +153,7 @@ TEST(StragglerJob, AddReplicaOnFinishedWorkerIsNoop)
     cluster.setUtilizationCap(ids[0], 1.0);
     cluster.setUtilizationCap(ids[1], 0.01);
     job.onTick(60, 60);
-    auto st = job.status();
-    ASSERT_FALSE(st[0].computing);
+    ASSERT_FALSE(job.worker(0).computing);
     EXPECT_FALSE(job.addReplica(0)); // finished: no replica
     EXPECT_TRUE(job.addReplica(1));
 }
